@@ -29,41 +29,6 @@ fn bench_solve(c: &mut Criterion) {
     c.bench_function("solve/cached_bistable", |b| {
         b.iter(|| black_box(cached.solve()).operating_point())
     });
-    c.bench_function("solve/batch_lanes", |b| {
-        b.iter(|| {
-            black_box(xmodel::core::batch::solve_batch(
-                &cached,
-                xmodel::core::solver::DEFAULT_SAMPLES,
-            ))
-            .operating_point()
-        })
-    });
-}
-
-/// Warm-started n-sweep against the cold per-cell fast path, sharing one
-/// tabulated supply curve (the bench-report `solver/sweep_1k_warm` gate
-/// entry is the continuously-tracked twin of this).
-fn bench_warm_sweep(c: &mut Criterion) {
-    let cached = cached_model();
-    let table = xmodel::core::fastpath::CurveTable::build(&cached, 256.0);
-    let models: Vec<XModel> = (1..=256)
-        .map(|i| {
-            let mut m = cached;
-            m.workload.n = i as f64;
-            m
-        })
-        .collect();
-    let samples = xmodel::core::solver::DEFAULT_SAMPLES;
-    c.bench_function("sweep/256_cold", |b| {
-        b.iter(|| {
-            for m in &models {
-                black_box(xmodel::core::fastpath::solve_fast(m, &table, samples));
-            }
-        })
-    });
-    c.bench_function("sweep/256_warm", |b| {
-        b.iter(|| black_box(xmodel::core::sweep::solve_warm(1, &models, &table, samples)))
-    });
 }
 
 /// Ablation: dense-scan resolution vs cost. Accuracy for the same sweep is
@@ -95,7 +60,6 @@ fn bench_derived_analyses(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_solve,
-    bench_warm_sweep,
     bench_resolution_ablation,
     bench_derived_analyses
 );

@@ -223,11 +223,12 @@ fn cmd_measure(args: &[String]) -> Result<(), String> {
 
     // Fast path: the same cached model answered from a warm SolveCache
     // (table built once outside the timer, as a sweep would hold it).
+    let samples = xmodel::core::solver::DEFAULT_SAMPLES;
     let mut solve_cache = SolveCache::new();
-    std::hint::black_box(solve_cache.solve(&cached));
+    std::hint::black_box(solve_cache.solve_with(&cached, samples));
     run(
         "solver/solve_fast",
-        time_bench(window, passes, || solve_cache.solve(&cached)),
+        time_bench(window, passes, || solve_cache.solve_with(&cached, samples)),
     );
 
     // 1024-point n-sweep through the parallel sweep engine, sharing one
@@ -240,44 +241,8 @@ fn cmd_measure(args: &[String]) -> Result<(), String> {
             xmodel::core::sweep::run(xmodel::core::sweep::default_jobs(), &sweep_ns, |_, &n| {
                 let mut m = cached;
                 m.workload.n = n;
-                xmodel::core::fastpath::solve_fast(
-                    &m,
-                    &sweep_table,
-                    xmodel::core::solver::DEFAULT_SAMPLES,
-                )
-                .operating_point()
+                xmodel::core::fastpath::solve_fast(&m, &sweep_table, samples).operating_point()
             })
-        }),
-    );
-
-    // Lane-batched dense scan: the [f64; 8] kernel evaluation path
-    // (bit-identical to solver/solve, so the delta is pure lane win).
-    run(
-        "solver/solve_batch",
-        time_bench(window, passes, || {
-            xmodel::core::batch::solve_batch(&model, xmodel::core::solver::DEFAULT_SAMPLES)
-        }),
-    );
-
-    // The same 1024-point sweep with warm-started cells: each solve
-    // seeds the next through the chunk-local WarmSeed chain.
-    let warm_models: Vec<XModel> = sweep_ns
-        .iter()
-        .map(|&n| {
-            let mut m = cached;
-            m.workload.n = n;
-            m
-        })
-        .collect();
-    run(
-        "solver/sweep_1k_warm",
-        time_bench(window, passes, || {
-            xmodel::core::sweep::solve_warm(
-                xmodel::core::sweep::default_jobs(),
-                &warm_models,
-                &sweep_table,
-                xmodel::core::solver::DEFAULT_SAMPLES,
-            )
         }),
     );
 

@@ -260,9 +260,9 @@ fn usage() {
                  (solve/sweep/whatif daemon; drain with POST /quitck)\n\
            sim --workload NAME [--gpu GPU] [--warps N] [--l1 KIB] [--ir]\n\
            sweep --n-max N (--gpu GPU [--dp] | --m M --r R --l L) --z Z [--e E]\n\
-                 [--l1 KIB --alpha A --beta B] [--points P] [--samples S]\n\
-                 [--jobs J] [--warm] [--out FILE]\n\
-                 (--warm seeds each cell from the last; output is byte-identical)\n\
+                 [--l1 KIB --alpha A --beta B --l1-latency C] [--points P]\n\
+                 [--samples S] [--jobs J] [--out FILE]\n\
+                 (output is byte-identical for any --jobs)\n\
            trace-report FILE [--timeline] [--svg FILE] [--profile]\n\
            sim-report FILE [--json] [--svg FILE] [--heatmap FILE]\n\
            residuals FILE [--preset GPU] [--workload NAME] [--l1 KIB]\n\
@@ -882,7 +882,39 @@ fn jnum(v: f64) -> String {
     }
 }
 
+/// Every flag `xmodel sweep` reads; anything else is a usage error.
+const SWEEP_FLAGS: &[&str] = &[
+    "n-max",
+    "gpu",
+    "dp",
+    "m",
+    "r",
+    "l",
+    "z",
+    "e",
+    "l1",
+    "alpha",
+    "beta",
+    "l1-latency",
+    "points",
+    "samples",
+    "jobs",
+    "out",
+];
+
 fn cmd_sweep(flags: HashMap<String, String>) -> Result<(), CliError> {
+    let mut unknown: Vec<&str> = flags
+        .keys()
+        .map(String::as_str)
+        .filter(|k| !SWEEP_FLAGS.contains(k))
+        .collect();
+    if !unknown.is_empty() {
+        unknown.sort_unstable();
+        return Err(CliError::Usage(format!(
+            "sweep: unknown flag(s) --{}",
+            unknown.join(", --")
+        )));
+    }
     let n_max = get_f64(&flags, "n-max")?.ok_or_else(|| "--n-max required".to_string())?;
     if !n_max.is_finite() || n_max <= 0.0 {
         return Err(CliError::Usage("--n-max must be positive".to_string()));
@@ -921,33 +953,12 @@ fn cmd_sweep(flags: HashMap<String, String>) -> Result<(), CliError> {
     let ns: Vec<f64> = (1..=points)
         .map(|i| n_max * i as f64 / points as f64)
         .collect();
-    // `--warm` carries each cell's verified roots into the next as a
-    // seed. The warm path is bit-identical to the cold one (pinned by
-    // the core parity suites and CI's warm-vs-cold `cmp`), so the JSON
-    // bytes do not depend on the flag — only the solve cost does.
-    let rows: Vec<(f64, usize, Option<xmodel::core::solver::Intersection>)> =
-        if flags.contains_key("warm") {
-            let models: Vec<xmodel::core::XModel> = ns
-                .iter()
-                .map(|&n| {
-                    let mut m = base;
-                    m.workload.n = n;
-                    m
-                })
-                .collect();
-            let (eqs, _stats) = xmodel::core::sweep::solve_warm(jobs, &models, &table, samples);
-            ns.iter()
-                .zip(eqs)
-                .map(|(&n, eq)| (n, eq.points().len(), eq.operating_point()))
-                .collect()
-        } else {
-            xmodel::core::sweep::run(jobs, &ns, |_, &n| {
-                let mut m = base;
-                m.workload.n = n;
-                let eq = xmodel::core::fastpath::solve_fast(&m, &table, samples);
-                (n, eq.points().len(), eq.operating_point())
-            })
-        };
+    let rows = xmodel::core::sweep::run(jobs, &ns, |_, &n| {
+        let mut m = base;
+        m.workload.n = n;
+        let eq = xmodel::core::fastpath::solve_fast(&m, &table, samples);
+        (n, eq.points().len(), eq.operating_point())
+    });
 
     // Deterministic hand-rolled JSON: results are collected in index
     // order and `jobs` is deliberately *not* recorded, so the bytes are

@@ -360,6 +360,22 @@ fn sweep_requires_n_max() {
 }
 
 #[test]
+fn sweep_rejects_flags_it_does_not_read() {
+    for flag in ["--warm", "--point"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_xmodel"))
+            .args([
+                "sweep", "--gpu", "kepler", "--z", "24", "--n-max", "64", flag, "4096",
+            ])
+            .output()
+            .expect("spawn xmodel");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {err}");
+        assert!(err.contains(flag), "{flag} not named: {err}");
+        assert!(out.stdout.is_empty(), "{flag}: no rows on a usage error");
+    }
+}
+
+#[test]
 fn sweep_output_is_byte_identical_for_any_jobs() {
     let args = [
         "sweep", "--gpu", "fermi", "--z", "16", "--l1", "16", "--n-max", "48", "--points", "64",

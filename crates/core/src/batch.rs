@@ -14,12 +14,11 @@
 //! crate stays `#![forbid(unsafe_code)]`) but still gains from unrolled
 //! instruction-level parallelism and hoisted parameter loads.
 //!
-//! [`solve_batch`] uses the kernels for a one-shot batched dense solve:
-//! the full sign-change scan of [`crate::solver::solve_with`] with every
-//! grid point evaluated through `eval8`, byte-identical output.
+//! [`crate::fastpath`] builds its curve tables through
+//! [`SupplyKernel::eval8`] and refines leaf spans through
+//! [`DemandKernel::eval8`].
 
 use crate::model::XModel;
-use crate::solver::{self, Equilibria};
 
 /// Fixed lane width of the batched kernels. Eight `f64`s span two AVX2
 /// registers or one AVX-512 register; on narrower targets LLVM splits the
@@ -143,114 +142,6 @@ impl DemandKernel {
     }
 }
 
-/// Evaluation counts of one [`solve_batch`] run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchStats {
-    /// Eight-lane loop bodies executed over the dense grid.
-    pub batch_evals: u64,
-    /// Scalar curve evaluations (grid remainder, bisection, stability
-    /// probes), counting `f` and `ĝ` calls alike.
-    pub scalar_evals: u64,
-}
-
-/// One-shot batched dense solve: [`crate::solver::solve_with`] semantics
-/// with the dense grid evaluated eight points per loop body through the
-/// flattened kernels. No `CurveTable` is built — this is the fast tier
-/// for single solves where no table can be amortized. Byte-identical to
-/// `model.solve_with(samples)` (pinned by the parity suite in
-/// `tests/fastpath.rs`).
-// xlint: determinism-root
-pub fn solve_batch(model: &XModel, samples: usize) -> Equilibria {
-    solve_batch_stats(model, samples).0
-}
-
-/// [`solve_batch`] with evaluation counts.
-// xlint: determinism-root
-pub fn solve_batch_stats(model: &XModel, samples: usize) -> (Equilibria, BatchStats) {
-    assert!(samples >= 2, "need at least two scan samples");
-    let _span = xmodel_obs::span!(xmodel_obs::names::span::SOLVER_SOLVE_BATCH);
-    let mut stats = BatchStats::default();
-    let n = model.workload.n;
-    let z = model.workload.z;
-    if n <= 0.0 {
-        return (Equilibria::from_points(Vec::new(), n), stats);
-    }
-    let supply = SupplyKernel::of(model);
-    let demand = DemandKernel::of(model);
-    let step = n / samples as f64;
-
-    // Dense pass: v_i = f(k_i) − ĝ(n − k_i) at k_i = step·i, eight grid
-    // points per loop body.
-    let mut vals = vec![0.0f64; samples + 1];
-    let mut i = 0usize;
-    while i + LANES <= samples + 1 {
-        let mut ks = [0.0; LANES];
-        for (lane, k) in ks.iter_mut().enumerate() {
-            *k = step * (i + lane) as f64;
-        }
-        let fs = supply.eval8(&ks);
-        let mut xs = [0.0; LANES];
-        for lane in 0..LANES {
-            xs[lane] = n - ks[lane];
-        }
-        let gs = demand.eval8(&xs);
-        for lane in 0..LANES {
-            vals[i + lane] = fs[lane] - gs[lane];
-        }
-        stats.batch_evals += 1;
-        i += LANES;
-    }
-    while i <= samples {
-        let k = step * i as f64;
-        vals[i] = supply.eval(k) - demand.eval(n - k);
-        stats.scalar_evals += 2;
-        i += 1;
-    }
-
-    // Sign-change scan over the precomputed residuals — the same
-    // classification and bracketing sequence as `solver::scan_dense`.
-    let evals = std::cell::Cell::new(0u64);
-    let f = |k: f64| {
-        evals.set(evals.get() + 1);
-        supply.eval(k)
-    };
-    let g_hat = |x: f64| {
-        evals.set(evals.get() + 1);
-        demand.eval(x)
-    };
-    let big_f = |k: f64| f(k) - g_hat(n - k);
-    let mut points = Vec::new();
-    let mut prev_k = 0.0;
-    let mut prev_v = vals.first().copied().unwrap_or(f64::NAN);
-    if prev_v == 0.0 {
-        points.push(solver::make_point(&f, &g_hat, n, z, 0.0));
-    }
-    for (i, &v) in vals.iter().enumerate().skip(1) {
-        let k = step * i as f64;
-        if v == 0.0 {
-            points.push(solver::make_point(&f, &g_hat, n, z, k));
-        } else if prev_v != 0.0 && (prev_v < 0.0) != (v < 0.0) {
-            let root = solver::bisect(&big_f, prev_k, k, prev_v);
-            xmodel_obs::event!("solver.bracket", lo = prev_k, hi = k, root = root);
-            points.push(solver::make_point(&f, &g_hat, n, z, root));
-        }
-        prev_k = k;
-        prev_v = v;
-    }
-    stats.scalar_evals += evals.get();
-    if xmodel_obs::enabled() {
-        xmodel_obs::metrics::counter_add(
-            xmodel_obs::names::metric::FASTPATH_BATCH_EVALS,
-            stats.batch_evals,
-        );
-        xmodel_obs::metrics::counter_add(
-            xmodel_obs::names::metric::SOLVER_CURVE_EVALS,
-            stats.scalar_evals + stats.batch_evals * 2 * LANES as u64,
-        );
-    }
-    (solver::finish(points, n, step), stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,37 +225,5 @@ mod tests {
         for k in probes(m.workload.n) {
             assert_eq!(kern.eval(k).to_bits(), m.fk(k).to_bits());
         }
-    }
-
-    #[test]
-    fn solve_batch_equals_solve_with() {
-        for m in [basic(), cached()] {
-            for samples in [64usize, 333, 2048] {
-                let reference = m.solve_with(samples);
-                let (fast, stats) = solve_batch_stats(&m, samples);
-                assert_eq!(fast, reference, "samples={samples}");
-                assert!(stats.batch_evals as usize >= samples / LANES);
-            }
-        }
-    }
-
-    #[test]
-    fn solve_batch_empty_domain() {
-        let mut m = basic();
-        m.workload.n = 0.0;
-        assert_eq!(solve_batch(&m, 64), m.solve_with(64));
-    }
-
-    #[test]
-    fn solve_batch_records_dedup_tolerance() {
-        let m = basic();
-        let eq = solve_batch(&m, 2048);
-        let step = m.workload.n / 2048.0;
-        assert_eq!(eq.dedup_tolerance(), 1.5 * step);
-        assert_eq!(
-            eq.dedup_tolerance(),
-            m.solve_with(2048).dedup_tolerance(),
-            "fast and exact tiers must dedup under the same rule"
-        );
     }
 }

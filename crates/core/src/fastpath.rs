@@ -9,20 +9,15 @@
 //! [`crate::batch`] kernels when built from a model) and [`solve_fast`]
 //! answers each solve from the table with a layered engine:
 //!
-//! * **USL screen** — tables whose sampled curve is monotone
-//!   non-decreasing carry a Gunther-style rational-function fit
-//!   (`x/f(x) ≈ σ + κ·x`); such curves cross the non-increasing demand
-//!   `ĝ(n−k)` at most once, so the engine binary-searches the single
-//!   sign transition and proves the flanks uniform instead of scanning;
-//! * **warm start** — inside a sweep, [`solve_fast_seeded`] predicts
-//!   each root's dense-grid cell from the previous cell's roots
-//!   ([`WarmSeed`]), verifies the predicted sign transitions and proves
-//!   the gaps between them uniform, falling back to the full scan the
-//!   moment the intersection classification changes;
-//! * **span descent** — the cold path recursively screens dense-sample
-//!   spans with O(1) min/max/margin range queries over a block-indexed
-//!   sparse table: a span whose bracketed `f(k) − ĝ(n−k)` range excludes
-//!   zero cannot contain a root and is skipped wholesale;
+//! * **USL screen** — a table whose sampled curve is monotone
+//!   non-decreasing (a non-retrograde Gunther-USL shape, as every Eq. (2)
+//!   roofline is) crosses the non-increasing demand `ĝ(n−k)` at most
+//!   once, so the engine binary-searches the single sign transition and
+//!   proves the flanks uniform instead of scanning;
+//! * **span descent** — otherwise the engine recursively screens
+//!   dense-sample spans with O(1) min/max/margin range queries over a
+//!   block-indexed sparse table: a span whose bracketed `f(k) − ĝ(n−k)`
+//!   range excludes zero cannot contain a root and is skipped wholesale;
 //! * **refine** — surviving leaf spans evaluate eight dense samples per
 //!   loop body through the batched demand kernel; each sample uses the
 //!   interpolated `f̃(k)` and consults the exact curve only where
@@ -73,13 +68,9 @@ const REFINE_LEAF: usize = 32;
 /// classification instead of subdividing further.
 const PROVE_LEAF: usize = 8;
 
-/// Maximum screening queries one warm-start or USL attempt may spend on
-/// uniformity proofs before giving up and falling back to the full scan.
+/// Maximum screening queries one USL attempt may spend on uniformity
+/// proofs before giving up and falling back to the span descent.
 const PROVE_BUDGET: u32 = 256;
-
-/// How many dense cells a warm-started root prediction may be off by
-/// before the warm path gives up (expanding-ring search radius).
-const WARM_RADIUS: usize = 64;
 
 /// The parameters a [`CurveTable`] is keyed on: everything that shapes
 /// the supply curve `f(k)` — and nothing that does not (`n`, `Z`, `E`
@@ -197,53 +188,6 @@ impl SpanIndex {
     }
 }
 
-/// The monotone-supply screen metadata: a table whose sampled curve never
-/// decreases crosses any non-increasing demand curve `ĝ(n−k)` at most
-/// once, so the solve can binary-search the single transition instead of
-/// scanning. The sampled all-rising test is the authoritative gate; the
-/// Gunther-USL linearization `y(x) = x/f(x) ≈ σ + κ·x` corroborates it
-/// cheaply — its curvature `κ` is finite exactly when the three probe
-/// samples are finite and positive (a retrograde or degenerate curve
-/// breaks the fit), and is exposed for observability.
-#[derive(Debug, Clone, Copy)]
-struct UslInfo {
-    kappa: Option<f64>,
-    single_crossing: bool,
-}
-
-impl UslInfo {
-    fn compute(values: &[f64], step: f64, segments: &[Segment], unsound_total: u32) -> Self {
-        let none = Self {
-            kappa: None,
-            single_crossing: false,
-        };
-        let res = values.len() - 1;
-        let rising = !segments.is_empty() && segments.iter().all(|s| s.rising);
-        if !rising || unsound_total > 0 || res < 16 {
-            return none;
-        }
-        // Three-point fit of y = x/f(x) at quarter points; the second
-        // divided difference is the curvature coefficient κ.
-        let (i1, i2, i3) = (res / 4, res / 2, 3 * res / 4);
-        let (x1, x2, x3) = (step * i1 as f64, step * i2 as f64, step * i3 as f64);
-        let (v1, v2, v3) = (values[i1], values[i2], values[i3]);
-        if [v1, v2, v3].iter().any(|&vi| !vi.is_finite() || vi <= 0.0) {
-            return none;
-        }
-        let (y1, y2, y3) = (x1 / v1, x2 / v2, x3 / v3);
-        let d1 = (y2 - y1) / (x2 - x1);
-        let d2 = (y3 - y2) / (x3 - x2);
-        let c = (d2 - d1) / (x3 - x1);
-        if !c.is_finite() {
-            return none;
-        }
-        Self {
-            kappa: Some(c),
-            single_crossing: true,
-        }
-    }
-}
-
 /// Piecewise-linear tabulation of one supply curve over `[0, k_max]`,
 /// with monotone-segment metadata, sound interpolation-error margins, a
 /// block-indexed sparse table for O(1) span queries, and the USL
@@ -263,7 +207,8 @@ pub struct CurveTable {
     margins: Vec<f64>,
     segments: Vec<Segment>,
     span_index: SpanIndex,
-    usl: UslInfo,
+    /// The USL screen's gate; see [`CurveTable::usl_single_crossing`].
+    single_crossing: bool,
     build_evals: u64,
 }
 
@@ -363,7 +308,7 @@ impl CurveTable {
     }
 
     /// Shared tail of both builders: margins from the probe points, then
-    /// the unsound prefix, segments, span index and USL screen.
+    /// the segments, span index and USL screen gate.
     fn finish_build(
         key: Option<CurveKey>,
         k_max: f64,
@@ -389,10 +334,10 @@ impl CurveTable {
                 f64::INFINITY
             });
         }
-        let unsound_total = margins.iter().filter(|m| !m.is_finite()).count() as u32;
         let segments = build_segments(&values);
         let span_index = SpanIndex::build(&values, &margins);
-        let usl = UslInfo::compute(&values, step, &segments, unsound_total);
+        let single_crossing =
+            segments.iter().all(|s| s.rising) && margins.iter().all(|m| m.is_finite());
         if xmodel_obs::enabled() {
             use xmodel_obs::metrics::counter_add;
             use xmodel_obs::names::metric;
@@ -408,7 +353,7 @@ impl CurveTable {
             margins,
             segments,
             span_index,
-            usl,
+            single_crossing,
             build_evals,
         }
     }
@@ -443,16 +388,7 @@ impl CurveTable {
     /// unsound intervals, so `f` crosses any non-increasing `ĝ(n−k)` at
     /// most once and [`solve_fast`] may take the USL-screened path.
     pub fn usl_single_crossing(&self) -> bool {
-        self.usl.single_crossing
-    }
-
-    /// Curvature coefficient `κ` of the USL linearization
-    /// `x/f(x) ≈ σ + κ·x` fitted over the tabulated samples, when the
-    /// fit exists (finite, positive quarter-point samples). Near-zero on
-    /// linear-then-plateau rooflines; meaningless (and `None`) for
-    /// retrograde Eq. (5) curves.
-    pub fn usl_kappa(&self) -> Option<f64> {
-        self.usl.kappa
+        self.single_crossing
     }
 
     /// Interpolated `f̃(k)` with the containing interval's margin
@@ -578,9 +514,6 @@ pub struct SolveStats {
     pub unsound_disables: u64,
     /// Eight-lane demand-kernel loop bodies executed during refinement.
     pub batch_evals: u64,
-    /// `true` when a [`WarmSeed`] prediction verified and the full scan
-    /// was skipped.
-    pub warm_hit: bool,
     /// `true` when the USL single-crossing screen answered the solve.
     pub usl_screened: bool,
 }
@@ -590,75 +523,6 @@ impl SolveStats {
     /// on the `solver.curve_evals` counter.
     pub fn total(&self) -> u64 {
         self.f_evals + self.g_evals
-    }
-}
-
-/// Root positions carried from one sweep cell to the next: the warm-start
-/// seed for [`solve_fast_seeded`]. Holds the previous solve's roots (up
-/// to four — one more than the Eq. (5) maximum of three) and, when
-/// available, the solve before that for linear extrapolation of each
-/// root's trajectory in `n`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WarmSeed {
-    n: f64,
-    len: u8,
-    roots: [f64; 4],
-    has_prev: bool,
-    prev_n: f64,
-    prev_len: u8,
-    prev_roots: [f64; 4],
-    usable: bool,
-}
-
-impl WarmSeed {
-    /// Fold a finished solve into the seed chain: `prev` is the seed that
-    /// produced (or preceded) `eq`, `None` at the start of a sweep.
-    pub fn advance(prev: Option<&WarmSeed>, eq: &Equilibria) -> WarmSeed {
-        let pts = eq.points();
-        let mut roots = [0.0f64; 4];
-        let len = pts.len().min(4);
-        for (slot, p) in roots.iter_mut().zip(pts) {
-            *slot = p.k;
-        }
-        let mut seed = WarmSeed {
-            n: eq.n(),
-            len: len as u8,
-            roots,
-            usable: pts.len() <= 4,
-            ..WarmSeed::default()
-        };
-        if let Some(p) = prev {
-            if p.usable {
-                seed.has_prev = true;
-                seed.prev_n = p.n;
-                seed.prev_len = p.len;
-                seed.prev_roots = p.roots;
-            }
-        }
-        seed
-    }
-
-    /// Number of roots the seed predicts.
-    pub fn root_count(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Predicted position of root `j` at the new thread count: linear
-    /// extrapolation along `n` when two matching-count solves are
-    /// available, the previous position otherwise.
-    fn predict(&self, j: usize, n_new: f64) -> f64 {
-        let r = self.roots[j];
-        let predicted = if self.has_prev && self.prev_len == self.len && self.n != self.prev_n {
-            let slope = (r - self.prev_roots[j]) / (self.n - self.prev_n);
-            r + slope * (n_new - self.n)
-        } else {
-            r
-        };
-        if predicted.is_finite() {
-            predicted.clamp(0.0, n_new)
-        } else {
-            r.clamp(0.0, n_new)
-        }
     }
 }
 
@@ -974,48 +838,6 @@ impl<C: CurvePair> Engine<'_, C> {
         self.prove_span(i, mid, expected, budget) && self.prove_span(mid + 1, j, expected, budget)
     }
 
-    /// Locate the sign transition nearest dense sample `t`: expanding
-    /// rings of doubling radius, then binary search down to the adjacent
-    /// pair `(p, p+1)` whose classes differ. `None` when no transition
-    /// lies within [`WARM_RADIUS`] cells or an exact zero turns up.
-    fn find_transition_near(&self, t: usize) -> Option<(usize, Class, Class)> {
-        let c_t = self.sample_class(t);
-        if c_t == Class::Zero {
-            return None;
-        }
-        let class_at = |u: usize| -> Class {
-            if u == 0 {
-                self.class0
-            } else {
-                self.sample_class(u)
-            }
-        };
-        let mut d = 1usize;
-        while d <= WARM_RADIUS {
-            let right = t + d;
-            if right <= self.samples {
-                let cu = class_at(right);
-                if cu == Class::Zero {
-                    return None;
-                }
-                if cu != c_t {
-                    return self.bisect_transition(t, c_t, right, cu);
-                }
-            }
-            if let Some(left) = t.checked_sub(d) {
-                let cu = class_at(left);
-                if cu == Class::Zero {
-                    return None;
-                }
-                if cu != c_t {
-                    return self.bisect_transition(left, cu, t, c_t);
-                }
-            }
-            d *= 2;
-        }
-        None
-    }
-
     /// Binary-search `lo < hi` with differing known classes down to an
     /// adjacent pair. Midpoint classes are Neg or NonNeg (two-valued),
     /// so each probe extends one side; a Zero aborts.
@@ -1043,7 +865,9 @@ impl<C: CurvePair> Engine<'_, C> {
 
     /// The USL-screened solve: for a single-crossing table, binary-search
     /// the lone transition (or prove there is none), prove the flanks
-    /// uniform, and emit the one bracket the reference would.
+    /// uniform, and emit the one bracket the reference would. A failed
+    /// attempt returns `false` before emitting a point or moving the scan
+    /// state, so the descent can take over as if it never ran.
     fn try_usl(&mut self) -> bool {
         let class0 = self.class0;
         if class0 == Class::Zero {
@@ -1080,75 +904,6 @@ impl<C: CurvePair> Engine<'_, C> {
         self.prev_class = c_end;
         true
     }
-
-    /// The warm-started solve: predict each seeded root's dense cell,
-    /// locate the actual transitions nearby, verify the class chain and
-    /// prove the gaps uniform. Any mismatch — root count change, an
-    /// exact zero, a transition that moved too far — returns `false`
-    /// without emitting anything, and the caller falls back cold.
-    fn try_warm(&mut self, seed: &WarmSeed) -> bool {
-        if !seed.usable || self.class0 == Class::Zero {
-            return false;
-        }
-        let mut budget = PROVE_BUDGET;
-        if seed.len == 0 {
-            if !self.prove_span(1, self.samples, self.class0, &mut budget) {
-                return false;
-            }
-            self.blocks_skipped += 1;
-            self.prev_k = self.step * self.samples as f64;
-            return true;
-        }
-        let mut transitions: Vec<(usize, Class, Class)> = Vec::with_capacity(4);
-        for j in 0..seed.root_count() {
-            let predicted = seed.predict(j, self.n);
-            let t = ((predicted / self.step).ceil() as usize).clamp(1, self.samples);
-            let Some(tr) = self.find_transition_near(t) else {
-                return false;
-            };
-            transitions.push(tr);
-        }
-        transitions.sort_by_key(|t| t.0);
-        transitions.dedup_by_key(|t| t.0);
-        if transitions.len() != seed.root_count() {
-            return false;
-        }
-        // Verify the class chain and prove the gaps between consecutive
-        // transitions uniform; together with the transition pairs this
-        // pins the class of every dense sample.
-        let mut expected = self.class0;
-        let mut start = 1usize;
-        for &(p, c_left, c_right) in &transitions {
-            if c_left != expected || c_left == c_right {
-                return false;
-            }
-            if !self.prove_span(start, p, c_left, &mut budget) {
-                return false;
-            }
-            expected = c_right;
-            start = p + 1;
-        }
-        if !self.prove_span(start, self.samples, expected, &mut budget) {
-            return false;
-        }
-        for &(p, c_left, _) in &transitions {
-            let k_lo = self.step * p as f64;
-            let k_hi = self.step * (p + 1) as f64;
-            let root = self.bisect(k_lo, k_hi, c_left == Class::Neg);
-            xmodel_obs::event!("solver.bracket", lo = k_lo, hi = k_hi, root = root);
-            self.emit_point(root);
-        }
-        self.prev_k = self.step * self.samples as f64;
-        self.prev_class = expected;
-        true
-    }
-
-    /// Roll back a failed warm/USL attempt to the post-`v0` state.
-    fn reset(&mut self, mark: (usize, f64, Class)) {
-        self.points.truncate(mark.0);
-        self.prev_k = mark.1;
-        self.prev_class = mark.2;
-    }
 }
 
 /// The shared solve core behind every fast-path entry point.
@@ -1158,7 +913,6 @@ fn solve_core<C: CurvePair>(
     n: f64,
     z: f64,
     samples: usize,
-    seed: Option<&WarmSeed>,
 ) -> (Equilibria, SolveStats) {
     assert!(samples >= 2, "need at least two scan samples");
     let _span = xmodel_obs::span!(xmodel_obs::names::span::SOLVER_SOLVE_FAST);
@@ -1199,26 +953,10 @@ fn solve_core<C: CurvePair>(
     }
     engine.prev_class = classify(v0);
     engine.class0 = engine.prev_class;
-    let mark = (engine.points.len(), engine.prev_k, engine.prev_class);
 
-    let mut done = false;
-    if let Some(s) = seed {
-        if engine.try_warm(s) {
-            done = true;
-            stats.warm_hit = true;
-        } else {
-            engine.reset(mark);
-        }
-    }
-    if !done && table.usl.single_crossing {
-        if engine.try_usl() {
-            done = true;
-            stats.usl_screened = true;
-        } else {
-            engine.reset(mark);
-        }
-    }
-    if !done {
+    if table.single_crossing && engine.try_usl() {
+        stats.usl_screened = true;
+    } else {
         engine.descend(1, samples);
     }
 
@@ -1271,50 +1009,7 @@ pub fn solve_fast_stats(
         supply: SupplyKernel::of(model),
         demand: DemandKernel::of(model),
     };
-    solve_core(
-        &curves,
-        table,
-        model.workload.n,
-        model.workload.z,
-        samples,
-        None,
-    )
-}
-
-/// Warm-started [`solve_fast`]: seed the engine with the previous sweep
-/// cell's roots and return the seed for the next cell. The result is
-/// bit-identical to the unseeded solve — a seed can only change *how*
-/// the answer is found, never the answer (pinned by the warm-sweep
-/// parity suite).
-///
-/// # Panics
-///
-/// As [`solve_fast`].
-// xlint: determinism-root
-pub fn solve_fast_seeded(
-    model: &XModel,
-    table: &CurveTable,
-    samples: usize,
-    seed: Option<&WarmSeed>,
-) -> (Equilibria, SolveStats, WarmSeed) {
-    assert!(
-        table.key == Some(CurveKey::of(model)),
-        "CurveTable was built for a different supply curve"
-    );
-    let curves = KernelCurves {
-        supply: SupplyKernel::of(model),
-        demand: DemandKernel::of(model),
-    };
-    let (eq, stats) = solve_core(
-        &curves,
-        table,
-        model.workload.n,
-        model.workload.z,
-        samples,
-        seed,
-    );
-    let next = WarmSeed::advance(seed, &eq);
-    (eq, stats, next)
+    solve_core(&curves, table, model.workload.n, model.workload.z, samples)
 }
 
 /// [`solve_fast`] over raw curve closures paired with a
@@ -1335,28 +1030,7 @@ pub fn solve_fast_curves(
         f: curve_f,
         g: curve_g_hat,
     };
-    solve_core(&curves, table, n, z, samples, None)
-}
-
-/// Warm-started [`solve_fast_curves`], returning the next cell's seed.
-/// Same bit-identity contract as [`solve_fast_seeded`].
-// xlint: determinism-root
-pub fn solve_fast_curves_seeded(
-    curve_f: &dyn Fn(f64) -> f64,
-    curve_g_hat: &dyn Fn(f64) -> f64,
-    table: &CurveTable,
-    n: f64,
-    z: f64,
-    samples: usize,
-    seed: Option<&WarmSeed>,
-) -> (Equilibria, SolveStats, WarmSeed) {
-    let curves = DynCurves {
-        f: curve_f,
-        g: curve_g_hat,
-    };
-    let (eq, stats) = solve_core(&curves, table, n, z, samples, seed);
-    let next = WarmSeed::advance(seed, &eq);
-    (eq, stats, next)
+    solve_core(&curves, table, n, z, samples)
 }
 
 /// Run the exact reference [`XModel::solve_with`] while counting curve
@@ -1414,27 +1088,13 @@ impl SolveCache {
         }
     }
 
-    /// Solve at the default dense-scan resolution.
-    // xlint: determinism-root
-    pub fn solve(&mut self, model: &XModel) -> Equilibria {
-        self.solve_with(model, solver::DEFAULT_SAMPLES)
-    }
-
-    /// Solve at an explicit dense-scan resolution.
+    /// Solve at dense-scan resolution `samples`, building or growing the
+    /// table first when it is missing or stale.
     // xlint: determinism-root
     pub fn solve_with(&mut self, model: &XModel, samples: usize) -> Equilibria {
-        self.solve_stats(model, samples).0
-    }
-
-    /// [`SolveCache::solve_with`] plus evaluation statistics.
-    // xlint: determinism-root
-    pub fn solve_stats(&mut self, model: &XModel, samples: usize) -> (Equilibria, SolveStats) {
         let n = model.workload.n;
         if n <= 0.0 {
-            return (
-                Equilibria::from_points(Vec::new(), n),
-                SolveStats::default(),
-            );
+            return Equilibria::from_points(Vec::new(), n);
         }
         let had_table = self.table.is_some();
         let stale = match &self.table {
@@ -1471,10 +1131,10 @@ impl SolveCache {
             self.hits += 1;
         }
         match &self.table {
-            Some(t) => solve_fast_stats(model, t, samples),
+            Some(t) => solve_fast(model, t, samples),
             // Unreachable (just built); degrade to the exact reference
             // rather than panicking.
-            None => (model.solve_with(samples), SolveStats::default()),
+            None => model.solve_with(samples),
         }
     }
 
@@ -1498,6 +1158,7 @@ impl SolveCache {
 mod tests {
     use super::*;
     use crate::params::{MachineParams, WorkloadParams};
+    use crate::presets::Precision;
 
     fn cached_model() -> XModel {
         XModel::with_cache(
@@ -1590,10 +1251,19 @@ mod tests {
 
     #[test]
     fn usl_screen_gates_on_monotonicity() {
-        // The roofline is monotone: single-crossing, finite κ.
+        // Every cacheless roofline is monotone: single-crossing.
         let t = CurveTable::build(&basic_model(), 64.0);
         assert!(t.usl_single_crossing());
-        assert!(t.usl_kappa().is_some());
+        for spec in crate::presets::table2() {
+            for precision in [Precision::Single, Precision::Double] {
+                let m = XModel::new(
+                    spec.machine_params(precision),
+                    WorkloadParams::new(16.0, 1.0, 64.0),
+                );
+                let t = CurveTable::build(&m, 64.0);
+                assert!(t.usl_single_crossing(), "{} {precision:?}", spec.name);
+            }
+        }
         // The Eq. (5) peak/valley curve is retrograde: screen off.
         let t = CurveTable::build(&cached_model(), 64.0);
         assert!(!t.usl_single_crossing());
@@ -1634,78 +1304,21 @@ mod tests {
     }
 
     #[test]
-    fn seeded_solve_is_bit_identical_and_hits_warm() {
-        let m = cached_model();
-        let t = CurveTable::build(&m, 64.0);
-        let samples = solver::DEFAULT_SAMPLES;
-        // Simulate two adjacent sweep cells in n.
-        let mut m1 = m;
-        m1.workload.n = 40.0;
-        let mut m2 = m;
-        m2.workload.n = 40.5;
-        let (eq1, _, seed) = solve_fast_seeded(&m1, &t, samples, None);
-        assert_eq!(eq1, solve_fast(&m1, &t, samples));
-        let (eq2, stats, _) = solve_fast_seeded(&m2, &t, samples, Some(&seed));
-        assert!(stats.warm_hit, "adjacent cell must verify warm");
-        assert_eq!(eq2, solve_fast(&m2, &t, samples), "warm changed the answer");
-    }
-
-    #[test]
-    fn warm_seed_chain_survives_root_count_change() {
-        // Sweep a synthetic Fig. 9-B-ish landscape across the n range
-        // where the intersection count changes; every seeded solve must
-        // equal its cold counterpart bitwise.
-        let f = |k: f64| {
-            let k = k.max(0.0);
-            if k <= 8.0 {
-                0.3 * k / 8.0
-            } else if k <= 24.0 {
-                0.3 - 0.25 * (k - 8.0) / 16.0
-            } else if k <= 60.0 {
-                0.05 + 0.05 * (k - 24.0) / 36.0
-            } else {
-                0.1
-            }
-        };
-        let g = |x: f64| x.clamp(0.0, 10.0) / 50.0;
-        let table = CurveTable::tabulate(&f, 96.0, 4096);
-        let mut seed: Option<WarmSeed> = None;
-        let mut warm_hits = 0u32;
-        for i in 0..=60 {
-            let n = 34.0 + i as f64;
-            let (cold, _) = solve_fast_curves(&f, &g, &table, n, 50.0, 512);
-            let (warm, stats, next) =
-                solve_fast_curves_seeded(&f, &g, &table, n, 50.0, 512, seed.as_ref());
-            assert_eq!(
-                warm.points().len(),
-                cold.points().len(),
-                "root count diverged at n = {n}"
-            );
-            for (a, b) in warm.points().iter().zip(cold.points()) {
-                assert_eq!(a.k.to_bits(), b.k.to_bits(), "k diverged at n = {n}");
-            }
-            warm_hits += u32::from(stats.warm_hit);
-            seed = Some(next);
-        }
-        assert!(warm_hits > 30, "warm path mostly idle: {warm_hits} hits");
-    }
-
-    #[test]
     fn solve_cache_rebuilds_only_on_curve_change() {
         let mut cache = SolveCache::new();
         let m = cached_model();
-        let a = cache.solve(&m);
+        let a = cache.solve_with(&m, solver::DEFAULT_SAMPLES);
         assert_eq!(cache.rebuilds(), 1);
         // n moves the demand curve only: table is reused.
         let mut m2 = m;
         m2.workload.n = 32.0;
-        let _ = cache.solve(&m2);
+        let _ = cache.solve_with(&m2, solver::DEFAULT_SAMPLES);
         assert_eq!(cache.rebuilds(), 1);
         assert_eq!(cache.hits(), 1);
         // R reshapes the supply curve: rebuild.
         let mut m3 = m;
         m3.machine.r = 0.05;
-        let _ = cache.solve(&m3);
+        let _ = cache.solve_with(&m3, solver::DEFAULT_SAMPLES);
         assert_eq!(cache.rebuilds(), 2);
         assert_eq!(a, m.solve());
     }
@@ -1715,7 +1328,7 @@ mod tests {
         let mut cache = SolveCache::new();
         let mut m = basic_model();
         m.workload.n = 1000.0;
-        let eq = cache.solve(&m);
+        let eq = cache.solve_with(&m, solver::DEFAULT_SAMPLES);
         assert_eq!(eq, m.solve());
         assert!(cache.table().map(|t| t.k_max()).unwrap_or(0.0) >= 1000.0);
     }
@@ -1725,6 +1338,9 @@ mod tests {
         let mut cache = SolveCache::new();
         let mut m = basic_model();
         m.workload.n = 0.0;
-        assert!(cache.solve(&m).points().is_empty());
+        assert!(cache
+            .solve_with(&m, solver::DEFAULT_SAMPLES)
+            .points()
+            .is_empty());
     }
 }

@@ -46,9 +46,9 @@
 //! | [`cache`] | Jacob hit-rate model, Eq. (5), peak/valley/plateau features |
 //! | [`multilevel`] | two-level (L1+L2) extension of Eq. (5), mechanical bypass |
 //! | [`solver`] | flow-balance root finding, all intersections |
-//! | [`batch`] | lane-batched `[f64; 8]` curve kernels, `solve_batch` |
+//! | [`batch`] | lane-batched `[f64; 8]` curve kernels behind the fast path |
 //! | [`fastpath`] | tabulated supply curve, `solve_fast`, `SolveCache` |
-//! | [`sweep`] | deterministic parallel grid engine, warm-started sweeps |
+//! | [`sweep`] | deterministic parallel grid engine |
 //! | [`degrade`] | graceful-degradation ladder: exact → grid-scan → baseline |
 //! | [`stability`] | Eq. (6) stability classification |
 //! | [`dynamics`] | thread-migration ODE, convergence, hysteresis |

@@ -18,21 +18,10 @@
 //! and the `sweep.workers` / `sweep.utilization` / `sweep.imbalance`
 //! gauges — gathered outside the result-collection path, so they cannot
 //! perturb the byte-identical output.
-//!
-//! [`run_stateful`] extends the engine with per-chunk *hint state*
-//! threaded through consecutive items of a chunk — the mechanism behind
-//! [`solve_warm`], which carries each solve's roots into the next cell
-//! as a [`WarmSeed`]. Hint state is reset at every chunk boundary, so
-//! the job count decides only *where* seeding restarts cold; because a
-//! seed may never change a result (the fast path's bit-identity
-//! contract), the output stays byte-identical for any job count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::fastpath::{self, CurveTable, WarmSeed};
-use crate::model::XModel;
-use crate::solver::Equilibria;
 use parking_lot::Mutex;
 
 /// Per-worker tallies of one run, collected only while tracing is
@@ -129,29 +118,6 @@ where
     R: Send,
     F: Fn(usize, &I) -> R + Sync,
 {
-    run_stateful(jobs, items, || (), |i, it, (): &mut ()| op(i, it))
-}
-
-/// [`run`] with per-chunk *hint state* threaded through consecutive
-/// items of a chunk.
-///
-/// `init()` builds a fresh state at the start of every chunk (and once
-/// for the whole run when `jobs == 1`); `op(index, &item, &mut state)`
-/// may read and update it between items. Because chunk boundaries move
-/// with the job count, the state is a **hint only**: `op` must return a
-/// bit-identical result whether the state arrives fresh from `init` or
-/// carried from any earlier item. [`solve_warm`] satisfies this with the
-/// fast path's warm-seed contract (a seed is verified before use and
-/// discarded on any mismatch), which is what keeps `xmodel sweep` output
-/// byte-identical for any `--jobs` value.
-// xlint: determinism-root
-pub fn run_stateful<I, R, S, G, F>(jobs: usize, items: &[I], init: G, op: F) -> Vec<R>
-where
-    I: Sync,
-    R: Send,
-    G: Fn() -> S + Sync,
-    F: Fn(usize, &I, &mut S) -> R + Sync,
-{
     let _span = xmodel_obs::span!(xmodel_obs::names::span::SWEEP_RUN);
     xmodel_obs::metrics::counter_add(xmodel_obs::names::metric::SWEEP_ITEMS, items.len() as u64);
     // Tally only while tracing is on: disabled runs pay a single relaxed
@@ -164,12 +130,7 @@ where
     if jobs == 1 {
         let _chunk = xmodel_obs::span!(xmodel_obs::names::span::SWEEP_CHUNK);
         xmodel_obs::metrics::counter_add(xmodel_obs::names::metric::SWEEP_CHUNKS, 1);
-        let mut state = init();
-        let out: Vec<R> = items
-            .iter()
-            .enumerate()
-            .map(|(i, it)| op(i, it, &mut state))
-            .collect();
+        let out: Vec<R> = items.iter().enumerate().map(|(i, it)| op(i, it)).collect();
         if let Some(t0) = run_start {
             let busy = t0.elapsed();
             let tally = WorkerTally {
@@ -199,14 +160,10 @@ where
                     // xlint: allow(nondeterminism-in-result-path, tracing-gated per-chunk timer; feeds sweep.* metrics only)
                     let chunk_start = instrument.then(Instant::now);
                     let end = (start + chunk).min(items.len());
-                    // Hint state restarts cold at every chunk boundary,
-                    // so reassembly order — not scheduling — still fully
-                    // determines the output.
-                    let mut state = init();
                     let out: Vec<R> = items[start..end]
                         .iter()
                         .enumerate()
-                        .map(|(off, it)| op(start + off, it, &mut state))
+                        .map(|(off, it)| op(start + off, it))
                         .collect();
                     if let Some(t0) = chunk_start {
                         tally.busy += t0.elapsed();
@@ -238,77 +195,8 @@ where
         // The compat scope cannot reach here (worker panics propagate
         // through the enclosing `std::thread::scope`), but degrade to a
         // serial pass rather than panicking.
-        Err(_) => {
-            let mut state = init();
-            items
-                .iter()
-                .enumerate()
-                .map(|(i, it)| op(i, it, &mut state))
-                .collect()
-        }
+        Err(_) => items.iter().enumerate().map(|(i, it)| op(i, it)).collect(),
     }
-}
-
-/// Aggregate statistics of one [`solve_warm`] sweep.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WarmSweepStats {
-    /// Grid cells solved.
-    pub cells: u64,
-    /// Cells answered from the previous cell's verified warm seed.
-    pub warm_hits: u64,
-    /// Cells answered by the USL single-crossing screen.
-    pub usl_screened: u64,
-}
-
-/// Solve every model in `models` against the shared supply `table` with
-/// warm-started fast solves, returning the equilibria in input order
-/// plus sweep-level statistics.
-///
-/// Within a chunk, each solve's verified roots seed the next cell's
-/// [`WarmSeed`] via [`fastpath::solve_fast_seeded`]; seeds reset cold at
-/// chunk boundaries. The warm path is verified before any output is
-/// emitted and falls back to the cold descent on any mismatch, so every
-/// returned [`Equilibria`] is bit-identical to `solve_fast` — and the
-/// output is byte-identical for any `jobs` value (CI `cmp`s the sweep
-/// JSON across job counts). All models must share the table's supply
-/// curve; [`fastpath::solve_fast_seeded`] panics otherwise.
-///
-/// The sweep publishes `sweep.warm_hits` / `sweep.usl_screened`
-/// counters after the join; per-cell tallies ride in the result tuples,
-/// never through shared mutable state.
-// xlint: determinism-root
-pub fn solve_warm(
-    jobs: usize,
-    models: &[XModel],
-    table: &CurveTable,
-    samples: usize,
-) -> (Vec<Equilibria>, WarmSweepStats) {
-    let cells = run_stateful(
-        jobs,
-        models,
-        || None::<WarmSeed>,
-        |_, model, seed: &mut Option<WarmSeed>| {
-            let (eq, stats, next) =
-                fastpath::solve_fast_seeded(model, table, samples, seed.as_ref());
-            *seed = Some(next);
-            (eq, stats.warm_hit, stats.usl_screened)
-        },
-    );
-    let mut stats = WarmSweepStats {
-        cells: cells.len() as u64,
-        ..WarmSweepStats::default()
-    };
-    let mut out = Vec::with_capacity(cells.len());
-    for (eq, warm_hit, usl_screened) in cells {
-        stats.warm_hits += u64::from(warm_hit);
-        stats.usl_screened += u64::from(usl_screened);
-        out.push(eq);
-    }
-    use xmodel_obs::metrics::counter_add;
-    use xmodel_obs::names::metric;
-    counter_add(metric::SWEEP_WARM_HITS, stats.warm_hits);
-    counter_add(metric::SWEEP_USL_SCREENED, stats.usl_screened);
-    (out, stats)
 }
 
 #[cfg(test)]
@@ -348,84 +236,6 @@ mod tests {
     #[test]
     fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
-    }
-
-    #[test]
-    fn stateful_run_matches_stateless_for_any_job_count() {
-        // The state here is a legitimate hint: it caches the square of
-        // the previous item and is only trusted when it matches, so the
-        // output is identical no matter where chunks cut the sequence.
-        let items: Vec<u64> = (0..500).collect();
-        let expect: Vec<u64> = items.iter().map(|&v| v * v).collect();
-        for jobs in [1, 2, 5, 16] {
-            let got = run_stateful(
-                jobs,
-                &items,
-                || None::<(u64, u64)>,
-                |_, &v, cache| {
-                    let out = match *cache {
-                        Some((prev, sq)) if prev == v => sq,
-                        _ => v * v,
-                    };
-                    *cache = Some((v + 1, (v + 1) * (v + 1)));
-                    out
-                },
-            );
-            assert_eq!(got, expect, "jobs = {jobs}");
-        }
-    }
-
-    #[test]
-    fn stateful_state_is_threaded_within_a_serial_run() {
-        // With one job the whole run is a single chunk, so the state
-        // must survive from item to item.
-        let items = [10u64, 20, 30];
-        let got = run_stateful(
-            1,
-            &items,
-            || 0u64,
-            |_, &v, acc| {
-                *acc += v;
-                *acc
-            },
-        );
-        assert_eq!(got, [10, 30, 60]);
-    }
-
-    #[test]
-    fn solve_warm_is_bit_identical_to_cold_for_any_job_count() {
-        use crate::params::{MachineParams, WorkloadParams};
-
-        let machine = MachineParams::new(6.0, 0.10, 600.0);
-        let models: Vec<XModel> = (8..72)
-            .map(|n| XModel::new(machine, WorkloadParams::new(24.0, 1.2, f64::from(n))))
-            .collect();
-        let table = CurveTable::build_with(&models[models.len() - 1], 96.0, 2048);
-        let samples = 512;
-        let cold: Vec<Equilibria> = models
-            .iter()
-            .map(|m| fastpath::solve_fast(m, &table, samples))
-            .collect();
-        let mut warm_hits_seen = 0;
-        for jobs in [1, 3, 8] {
-            let (warm, stats) = solve_warm(jobs, &models, &table, samples);
-            assert_eq!(stats.cells, models.len() as u64, "jobs = {jobs}");
-            warm_hits_seen = warm_hits_seen.max(stats.warm_hits);
-            for (a, b) in warm.iter().zip(&cold) {
-                assert_eq!(a.points().len(), b.points().len(), "jobs = {jobs}");
-                for (pa, pb) in a.points().iter().zip(b.points()) {
-                    assert_eq!(pa.k.to_bits(), pb.k.to_bits(), "jobs = {jobs}");
-                    assert_eq!(pa.ms_throughput.to_bits(), pb.ms_throughput.to_bits());
-                }
-            }
-        }
-        // Consecutive cells differ only in n, so the serial sweep must
-        // actually exercise the warm path, not just fall back cold.
-        assert!(
-            warm_hits_seen > models.len() as u64 / 2,
-            "warm path never engaged: {warm_hits_seen} hits over {} cells",
-            models.len()
-        );
     }
 
     #[test]

@@ -16,9 +16,6 @@ pub mod span {
     /// The tabulated fast path of the flow-balance solver
     /// (coarse-scan-then-refine over a `CurveTable`).
     pub const SOLVER_SOLVE_FAST: &str = "solver.solve_fast";
-    /// The one-shot batched dense solve (`core::batch::solve_batch`):
-    /// lane-batched kernels over the full grid, no table.
-    pub const SOLVER_SOLVE_BATCH: &str = "solver.solve_batch";
     /// One full parallel grid sweep (`core::sweep::run`).
     pub const SWEEP_RUN: &str = "sweep.run";
     /// One work-stealing chunk of a parallel grid sweep.
@@ -91,7 +88,7 @@ pub mod metric {
     /// (non-finite-margin) table interval.
     pub const FASTPATH_UNSOUND_DISABLES: &str = "fastpath.unsound_disables";
     /// Eight-lane kernel loop bodies executed by batched evaluation
-    /// (tabulation, batched refine and `solve_batch` dense scans).
+    /// (table builds and fast-path leaf refinement).
     pub const FASTPATH_BATCH_EVALS: &str = "fastpath.batch_evals";
 
     // --- core::sweep executor introspection ----------------------------
@@ -110,12 +107,6 @@ pub mod metric {
     /// Relative busy-time spread `(max − min) / max` across workers of
     /// the last sweep (gauge, 0 = perfectly balanced).
     pub const SWEEP_IMBALANCE: &str = "sweep.imbalance";
-    /// Warm-started sweep cells solved from the previous cell's seed
-    /// (root windows + uniform-gap proofs) without a full coarse scan.
-    pub const SWEEP_WARM_HITS: &str = "sweep.warm_hits";
-    /// Sweep cells resolved by the USL rational-function screen's
-    /// single-crossing fast path (no full descent).
-    pub const SWEEP_USL_SCREENED: &str = "sweep.usl_screened";
 
     // --- core::degrade ladder introspection ----------------------------
 
@@ -208,14 +199,14 @@ pub fn metric_help(name: &str) -> Option<&'static str> {
         metric::FASTPATH_UNSOUND_DISABLES => {
             "coarse blocks with screening disabled by an unsound margin"
         }
-        metric::FASTPATH_BATCH_EVALS => "eight-lane batched kernel loop bodies executed",
+        metric::FASTPATH_BATCH_EVALS => {
+            "eight-lane kernel loop bodies executed by table builds and refinement"
+        }
         metric::SWEEP_CHUNK_CLAIMS => "chunk claims taken from the sweep cursor",
         metric::SWEEP_WORKER_CELLS => "cells completed per worker per sweep run",
         metric::SWEEP_WORKERS => "worker threads used by the most recent sweep",
         metric::SWEEP_UTILIZATION => "mean worker busy fraction of the last sweep",
         metric::SWEEP_IMBALANCE => "relative worker busy-time spread of the last sweep",
-        metric::SWEEP_WARM_HITS => "sweep cells solved warm from the previous cell's seed",
-        metric::SWEEP_USL_SCREENED => "sweep cells resolved by the USL single-crossing screen",
         metric::DEGRADE_RUNG_EXACT => "operating points resolved by the exact rung",
         metric::DEGRADE_RUNG_GRID_SCAN => "operating points resolved by the grid-scan rung",
         metric::DEGRADE_RUNG_BASELINE => "operating points resolved by the baseline rung",
@@ -251,7 +242,6 @@ mod tests {
         let all = [
             super::span::SOLVER_SOLVE,
             super::span::SOLVER_SOLVE_FAST,
-            super::span::SOLVER_SOLVE_BATCH,
             super::span::SWEEP_RUN,
             super::span::SWEEP_CHUNK,
             super::span::SIM_RUN,
@@ -286,8 +276,6 @@ mod tests {
             super::metric::SWEEP_WORKERS,
             super::metric::SWEEP_UTILIZATION,
             super::metric::SWEEP_IMBALANCE,
-            super::metric::SWEEP_WARM_HITS,
-            super::metric::SWEEP_USL_SCREENED,
             super::metric::DEGRADE_RUNG_EXACT,
             super::metric::DEGRADE_RUNG_GRID_SCAN,
             super::metric::DEGRADE_RUNG_BASELINE,
@@ -326,13 +314,13 @@ mod tests {
 
         // Every metric constant (entries after the span block above) must
         // carry Prometheus HELP text; span names must not.
-        for name in &all[14..] {
+        for name in &all[13..] {
             assert!(
                 super::metric_help(name).is_some(),
                 "metric {name:?} missing metric_help entry"
             );
         }
-        for name in &all[..14] {
+        for name in &all[..13] {
             assert!(
                 super::metric_help(name).is_none(),
                 "span {name:?} unexpectedly has metric_help"
