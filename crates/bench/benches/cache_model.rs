@@ -6,7 +6,8 @@ use std::hint::black_box;
 use xmodel::core::cache::{CacheParams, CachedMsCurve};
 use xmodel::core::params::MachineParams;
 use xmodel::core::units::Threads;
-use xmodel::workloads::locality::{fit_jacob, jacob_hit_rate};
+use xmodel::workloads::locality::{fit_jacob, fit_trace_capacities, jacob_hit_rate};
+use xmodel::workloads::{Workload, WorkloadId};
 
 fn curve() -> CachedMsCurve {
     CachedMsCurve::new(
@@ -71,6 +72,17 @@ fn bench_fitting(c: &mut Criterion) {
         .collect();
     c.bench_function("cache/fit_jacob_grid", |b| {
         b.iter(|| black_box(fit_jacob(&samples, 16384.0)))
+    });
+    // The whole locality fit `assemble_model` makes: the hit-count passes
+    // over the trace at the reference capacities, then the grid fit.
+    let trace = Workload::get(WorkloadId::Gesummv).trace;
+    c.bench_function("cache/fit_trace_capacities", |b| {
+        b.iter(|| {
+            black_box(fit_trace_capacities(
+                &trace,
+                &[8 * 1024, 16 * 1024, 48 * 1024],
+            ))
+        })
     });
 }
 

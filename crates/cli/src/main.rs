@@ -414,10 +414,9 @@ fn cmd_residuals(args: &[String]) -> Result<(), CliError> {
         .unwrap_or_else(|| "gesummv".to_string());
     let w = workload_by_name(&wl_name)?;
     let l1 = match flags.get("l1").cloned().or_else(|| manifest_param("l1")) {
-        Some(v) => v.parse::<f64>().map_err(|e| format!("--l1: {e}"))?,
-        None => 0.0,
-    }
-    .max(0.0) as u64;
+        Some(v) => parse_l1_kib(&v)?,
+        None => 0,
+    };
     let rel = get_f64(&flags, "rel")?.unwrap_or(xmodel_obs::residual::DEFAULT_REL_TOL);
     if rel < 0.0 {
         return Err(CliError::Usage("--rel must be non-negative".to_string()));
@@ -603,6 +602,28 @@ fn get_f64(flags: &HashMap<String, String>, key: &str) -> Result<Option<f64>, St
     }
 }
 
+/// Largest L1 `--l1` takes, in KiB: the whole 64 KiB array Fermi splits
+/// between L1 and shared memory.
+const L1_MAX_KIB: f64 = 64.0;
+
+/// Parse an L1 size in KiB for the commands that fit locality to it
+/// (`workload`, `whatif`, `residuals`): a number from 0 to 64, whole KiB
+/// taken. Negative, non-finite and larger values are usage errors.
+fn parse_l1_kib(value: &str) -> Result<u64, String> {
+    let kib = value.parse::<f64>().map_err(|e| format!("--l1: {e}"))?;
+    if !(0.0..=L1_MAX_KIB).contains(&kib) {
+        return Err(format!(
+            "--l1 must be an L1 size from 0 to {L1_MAX_KIB} KiB, got `{value}`"
+        ));
+    }
+    Ok(kib as u64)
+}
+
+/// `--l1` through [`parse_l1_kib`], or `default` when absent.
+fn get_l1_kib(flags: &HashMap<String, String>, default: u64) -> Result<u64, String> {
+    flags.get("l1").map_or(Ok(default), |v| parse_l1_kib(v))
+}
+
 fn gpu_by_name(name: &str) -> Result<GpuSpec, String> {
     match name.to_ascii_lowercase().as_str() {
         "fermi" | "gtx570" => Ok(GpuSpec::fermi_gtx570()),
@@ -733,7 +754,7 @@ fn cmd_workload(args: &[String]) -> Result<(), CliError> {
     let flags = parse_flags(&args[1..]);
     let w = workload_by_name(name)?;
     let gpu = gpu_by_name(flags.get("gpu").map(String::as_str).unwrap_or("kepler"))?;
-    let l1 = get_f64(&flags, "l1")?.unwrap_or(0.0) as u64;
+    let l1 = get_l1_kib(&flags, 0)?;
     let model = xmodel::profile::fitting::assemble_model(&gpu, &w, l1 * 1024);
     let a = w.kernel.analyze();
     println!("{} on {} (L1 {} KiB)", w.name, gpu.name, l1);
@@ -1035,7 +1056,7 @@ fn cmd_whatif(flags: HashMap<String, String>) -> Result<(), CliError> {
             .map(String::as_str)
             .unwrap_or("gesummv"),
     )?;
-    let l1 = get_f64(&flags, "l1")?.unwrap_or(16.0) as u64;
+    let l1 = get_l1_kib(&flags, 16)?;
     let model = xmodel::profile::fitting::assemble_model(&gpu, &w, l1 * 1024);
     let what_if = WhatIf::new(model);
     println!(

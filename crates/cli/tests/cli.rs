@@ -375,6 +375,41 @@ fn sweep_rejects_flags_it_does_not_read() {
     }
 }
 
+/// `--l1` outside 0–64 KiB is a usage error naming the flag, in every
+/// command that fits locality to it — not a cacheless model, an
+/// overflowed byte count or an underflowed Fermi shared-memory split.
+#[test]
+fn l1_out_of_range_is_a_usage_error() {
+    let simtrace = concat!(env!("CARGO_MANIFEST_DIR"), "/../../SIMTRACE_seed.jsonl");
+    let commands: [&[&str]; 3] = [
+        &["workload", "gesummv"],
+        &["whatif", "--workload", "gesummv"],
+        &["residuals", simtrace],
+    ];
+    for command in commands {
+        for l1 in ["-16", "NaN", "1e30", "100"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_xmodel"))
+                .args(command)
+                .args(["--gpu", "fermi", "--l1", l1])
+                .output()
+                .expect("spawn xmodel");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{command:?} --l1 {l1}: {err}");
+            assert!(err.contains("--l1"), "{command:?} --l1 {l1}: {err}");
+            assert!(out.stdout.is_empty(), "{command:?} --l1 {l1}: no output");
+        }
+    }
+}
+
+#[test]
+fn l1_range_ends_are_accepted() {
+    for l1 in ["0", "64"] {
+        let (ok, out, err) = run(&["workload", "gesummv", "--gpu", "fermi", "--l1", l1]);
+        assert!(ok, "--l1 {l1}: {err}");
+        assert!(out.contains(&format!("(L1 {l1} KiB)")), "{out}");
+    }
+}
+
 #[test]
 fn sweep_output_is_byte_identical_for_any_jobs() {
     let args = [

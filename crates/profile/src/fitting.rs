@@ -18,8 +18,10 @@ use xmodel_workloads::Workload;
 pub fn arch_limits(spec: &GpuSpec, l1_bytes: u64) -> ArchLimits {
     match spec.generation {
         GpuGeneration::Fermi => {
-            // Fermi splits a 64 KiB array between L1 and shared memory.
-            ArchLimits::fermi(64 * 1024 - l1_bytes as u32)
+            // Fermi splits a 64 KiB array between L1 and shared memory;
+            // an L1 claiming all of it (or more) leaves no shared memory.
+            let shared = (64 * 1024u64).saturating_sub(l1_bytes);
+            ArchLimits::fermi(shared as u32)
         }
         GpuGeneration::Kepler => ArchLimits::kepler(),
         GpuGeneration::Maxwell => ArchLimits::maxwell(),
@@ -100,6 +102,14 @@ pub fn assemble_model(spec: &GpuSpec, workload: &Workload, l1_bytes: u64) -> XMo
 mod tests {
     use super::*;
     use xmodel_workloads::WorkloadId;
+
+    #[test]
+    fn fermi_l1_beyond_the_array_leaves_no_shared_memory() {
+        let fermi = GpuSpec::fermi_gtx570();
+        assert_eq!(arch_limits(&fermi, 16 * 1024).smem_per_sm, 48 * 1024);
+        assert_eq!(arch_limits(&fermi, 64 * 1024).smem_per_sm, 0);
+        assert_eq!(arch_limits(&fermi, 100 * 1024).smem_per_sm, 0);
+    }
 
     #[test]
     fn cacheless_model_for_kepler() {

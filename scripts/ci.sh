@@ -52,6 +52,18 @@ echo "=== benchmark harness build (perfbench/) ==="
 CARGO_TARGET_DIR=target/perfbench \
   cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "=== §V records bit for bit (one validate and one validate_l1 pass) ==="
+# A pass checks every op's record against perfbench/reference/*.jsonl
+# (36 + 24 records, shortest round-trip floats) and counts a mismatch
+# as a failed op. The harness takes only a positive --seconds; any
+# value shorter than one pass runs exactly one.
+for workload in validate validate_l1; do
+  result="$(target/perfbench/release/perfbench --workload "$workload" --seed 1 \
+    --seconds 0.001 --trace 0 --xmodel target/release/xmodel | tail -n 1)"
+  echo "$result" | grep -q '"failed": 0,' \
+    || { echo "perfbench $workload: records differ from the reference: $result" >&2; exit 1; }
+done
+
 echo "=== trace smoke test ==="
 trace="$(mktemp -t xmodel-trace.XXXXXX.jsonl)"
 folded="$(mktemp -t xmodel-folded.XXXXXX.txt)"

@@ -6,6 +6,7 @@
 //! panic, never a silent NaN.** Runs are deterministic given the fault
 //! seed, so any failure here reproduces exactly.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use xmodel::baselines::Roofline;
 use xmodel::core::degrade::{self, Degradation, DegradeForce, DEGRADE_SCHEMA};
 use xmodel::core::presets::{GpuSpec, Precision};
@@ -26,6 +27,18 @@ const FAULT_SPECS: &[&str] = &[
     "throttle=500:0.3:0.25",
     "spike=0.02x4,drop=0.01,dup=0.02,throttle=1000:0.2:0.5",
 ];
+
+/// The trace sink is process-wide and the degradation ladder reports
+/// every degraded solve to it, so a test that reads the sink must not
+/// overlap a test that degrades. Every test that installs a sink or
+/// drives the ladder holds this lock for its whole body.
+static TRACE_BUS: Mutex<()> = Mutex::new(());
+
+/// Take [`TRACE_BUS`]. The lock guards no data, so a test that failed
+/// while holding it leaves nothing to repair and must not fail the rest.
+fn trace_bus() -> MutexGuard<'static, ()> {
+    TRACE_BUS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn workload() -> SimWorkload {
     SimWorkload {
@@ -171,6 +184,7 @@ fn watchdog_converts_hang_into_typed_error() {
 /// rung yields finite results tagged with the right provenance.
 #[test]
 fn degradation_ladder_provenance_and_finiteness() {
+    let _bus = trace_bus();
     let model = XModel::new(
         xmodel::core::params::MachineParams::new(6.0, 0.107, 520.0),
         xmodel::core::params::WorkloadParams::new(20.0, 1.0, 48.0),
@@ -199,6 +213,7 @@ fn degradation_ladder_provenance_and_finiteness() {
 /// baseline estimate stay within a factor-2 band of the exact point.
 #[test]
 fn degraded_rungs_bracket_the_exact_answer() {
+    let _bus = trace_bus();
     let model = XModel::new(
         xmodel::core::params::MachineParams::new(6.0, 0.107, 520.0),
         xmodel::core::params::WorkloadParams::new(20.0, 1.0, 48.0),
@@ -225,6 +240,7 @@ fn degraded_rungs_bracket_the_exact_answer() {
 /// classical model, not past it.
 #[test]
 fn baseline_rung_respects_the_roofline() {
+    let _bus = trace_bus();
     for gpu in GpuSpec::all() {
         for precision in [Precision::Single, Precision::Double] {
             let machine = gpu.machine_params(precision);
@@ -278,6 +294,7 @@ fn faulty_sink_partitions_and_reader_tolerates() {
 /// `solver.degraded` event tagged with the one schema constant.
 #[test]
 fn degraded_event_carries_schema_tag() {
+    let _bus = trace_bus();
     let mem = MemSink::new();
     xmodel::obs::install(Box::new(mem.clone()));
     let model = XModel::new(
