@@ -298,7 +298,7 @@ fn cmd_measure(args: &[String]) -> Result<(), String> {
         wall_s: started.elapsed().as_secs_f64(),
         benches,
     };
-    let json = xmodel_bench::json::to_json(&snapshot).map_err(|e| e.to_string())?;
+    let json = obs_json::try_to_string(&snapshot).map_err(|e| e.to_string())?;
     std::fs::write(&out_path, format!("{json}\n")).map_err(|e| format!("{out_path}: {e}"))?;
     println!("wrote {out_path} ({:.1} s)", snapshot.wall_s);
     Ok(())

@@ -33,7 +33,7 @@ fn stream(warps: u32, z: f64) -> SimWorkload {
     }
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     println!("Chip-level contention vs the per-SM static partition\n");
     let n_sms = 4;
     let chip_bw = SHARE_BPC * n_sms as f64;
@@ -65,7 +65,7 @@ fn main() {
         "chip_partition_homogeneous",
         &["sm", "measured", "solo", "err"],
         &rows,
-    );
+    )?;
 
     // Heterogeneous: one hungry SM among compute-bound neighbours.
     println!("\nheterogeneous chip (1 memory-hungry + 3 compute-bound SMs):");
@@ -88,10 +88,11 @@ fn main() {
         "chip_partition_heterogeneous",
         &["sm", "ms", "cs", "vs_share"],
         &rows,
-    );
+    )?;
 
     println!("\nConclusion: with symmetric workloads the static 1/N partition the");
     println!("paper assumes holds within a few percent; with asymmetric mixes an");
     println!("SM can draw several times its share, so per-SM models of mixed");
     println!("workloads should re-profile R under co-location.");
+    Ok(())
 }

@@ -14,7 +14,7 @@ fn accuracy(pred: f64, meas: f64) -> f64 {
     (1.0 - (pred - meas).abs() / meas).max(0.0)
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let gpu = GpuSpec::kepler_k40();
     println!(
         "X-model vs baselines on {} (CS throughput, warp-ops/cycle)\n",
@@ -108,5 +108,6 @@ fn main() {
             "app", "measured", "xmodel", "roofline", "valley", "mwpcwp", "accs",
         ],
         &rows,
-    );
+    )?;
+    Ok(())
 }

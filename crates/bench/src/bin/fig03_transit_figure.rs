@@ -7,7 +7,7 @@ use xmodel::prelude::*;
 use xmodel::render;
 use xmodel_bench::{cell, print_table, save_svg, write_csv};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let machine = MachineParams::new(4.0, 0.1, 500.0);
     println!("Fig. 3 — flow balance f(k) = g(x) with x + k = n\n");
 
@@ -34,14 +34,15 @@ fn main() {
         "fig03_transit_figure",
         &["n", "k_closed", "k_numeric", "x", "ms", "cs"],
         &rows,
-    );
+    )?;
 
     let model = TransitModel::new(machine, OpsPerRequest(20.0), Threads(48.0)).to_xmodel();
     let graph = XGraph::build(&model, 256);
     let path = save_svg(
         "fig03_transit_figure",
         &render::xgraph_chart(&graph, None).to_svg(560.0, 360.0),
-    );
+    )?;
     println!("\n{}", render::xgraph_ascii(&graph, 70, 14));
     println!("wrote {}", path.display());
+    Ok(())
 }

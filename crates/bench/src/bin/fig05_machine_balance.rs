@@ -7,7 +7,7 @@ use xmodel::render;
 use xmodel::viz::grid::PanelGrid;
 use xmodel_bench::{cell, print_table, save_svg};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     // Balanced workload: Z = M/R so both plateaus meet.
     let machine = MachineParams::new(4.0, 0.1, 500.0);
     let z = machine.m / machine.r; // 40
@@ -44,7 +44,8 @@ fn main() {
         ],
         &rows,
     );
-    let path = save_svg("fig05_machine_balance", &grid.to_svg());
+    let path = save_svg("fig05_machine_balance", &grid.to_svg())?;
     println!("\nThe machine TLP (minimum n for balance) is pi + delta = {tlp}.");
     println!("wrote {}", path.display());
+    Ok(())
 }

@@ -7,7 +7,7 @@ use xmodel::prelude::*;
 use xmodel::viz::chart::{Chart, Marker, Series};
 use xmodel_bench::{cell, save_svg, write_csv};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let machine = MachineParams::new(6.0, 0.1, 600.0);
     let cache = CacheParams::try_new(16.0 * 1024.0, 30.0, 5.0, 2048.0).unwrap();
     let curve = CachedMsCurve::new(&machine, cache);
@@ -71,12 +71,13 @@ fn main() {
             y: None,
         });
     }
-    let path = save_svg("fig07_cache_fk", &chart.to_svg(640.0, 380.0));
+    let path = save_svg("fig07_cache_fk", &chart.to_svg(640.0, 380.0))?;
 
     let rows: Vec<Vec<String>> = pts
         .iter()
         .map(|&(k, f)| vec![cell(k, 2), cell(f, 6)])
         .collect();
-    write_csv("fig07_cache_fk", &["k", "f"], &rows);
+    write_csv("fig07_cache_fk", &["k", "f"], &rows)?;
     println!("\nwrote {}", path.display());
+    Ok(())
 }

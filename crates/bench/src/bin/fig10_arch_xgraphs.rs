@@ -8,7 +8,7 @@ use xmodel::viz::chart::{Chart, Marker, Series};
 use xmodel::viz::grid::PanelGrid;
 use xmodel_bench::{cell, save_svg, write_csv};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let mut grid = PanelGrid::new("Fig. 10 — architectural X-graphs", 3);
     let mut rows = Vec::new();
     for precision in [Precision::Single, Precision::Double] {
@@ -73,7 +73,8 @@ fn main() {
         "fig10_arch",
         &["gpu", "prec", "gbs", "delta", "gflops"],
         &rows,
-    );
-    let path = save_svg("fig10_arch_xgraphs", &grid.to_svg());
+    )?;
+    let path = save_svg("fig10_arch_xgraphs", &grid.to_svg())?;
     println!("\nwrote {}", path.display());
+    Ok(())
 }

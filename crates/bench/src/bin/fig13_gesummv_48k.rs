@@ -10,7 +10,7 @@ use xmodel::viz::chart::Series;
 use xmodel_bench::case_study;
 use xmodel_bench::{cell, save_svg, write_csv};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let units = case_study::gpu().units(Precision::Single);
     let m16 = case_study::model(16);
     let m48 = case_study::model(48);
@@ -60,7 +60,7 @@ fn main() {
         "fig13_trace_points",
         &["cached_warps", "req_per_cycle", "gbs"],
         &rows,
-    );
+    )?;
 
     let graph = XGraph::build(&m48, 512);
     let mut chart = render::xgraph_chart(&graph, Some(&units));
@@ -72,6 +72,7 @@ fn main() {
             .collect(),
         3,
     ));
-    let path = save_svg("fig13_gesummv_48k", &chart.to_svg(640.0, 400.0));
+    let path = save_svg("fig13_gesummv_48k", &chart.to_svg(640.0, 400.0))?;
     println!("wrote {}", path.display());
+    Ok(())
 }

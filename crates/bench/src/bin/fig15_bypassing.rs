@@ -9,7 +9,7 @@ use xmodel::viz::grid::PanelGrid;
 use xmodel_bench::case_study;
 use xmodel_bench::{cell, print_table, save_svg, write_csv};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let model = case_study::model(16);
     let what_if = WhatIf::new(model);
     let units = case_study::gpu().units(Precision::Single);
@@ -35,7 +35,7 @@ fn main() {
         ]);
     }
     print_table(&["R multiplier", "model MS GB/s", "model speedup"], &rows);
-    write_csv("fig15_bypass_model", &["mult", "gbs", "speedup"], &rows);
+    write_csv("fig15_bypass_model", &["mult", "gbs", "speedup"], &rows)?;
 
     // Simulator: sweep the number of cache-eligible warps.
     println!("\nsimulator sweep (j warps keep using the L1, rest bypass):");
@@ -46,7 +46,7 @@ fn main() {
         sim_rows.push(vec![j.to_string(), cell(units.ms_to_gbs(thr), 3)]);
     }
     print_table(&["cached warps", "sim MS GB/s"], &sim_rows);
-    write_csv("fig15_bypass_sim", &["cached_warps", "gbs"], &sim_rows);
+    write_csv("fig15_bypass_sim", &["cached_warps", "gbs"], &sim_rows)?;
 
     let best_r = peak.value;
     let before = XGraph::build(&model, 512);
@@ -54,6 +54,7 @@ fn main() {
     let grid = PanelGrid::new("Fig. 15 — cache bypassing", 2)
         .with(render::xgraph_chart(&before, Some(&units)))
         .with(render::xgraph_chart(&after, Some(&units)));
-    let path = save_svg("fig15_bypassing", &grid.to_svg());
+    let path = save_svg("fig15_bypassing", &grid.to_svg())?;
     println!("\nwrote {}", path.display());
+    Ok(())
 }

@@ -9,7 +9,7 @@ use xmodel::viz::grid::PanelGrid;
 use xmodel_bench::case_study;
 use xmodel_bench::{cell, print_table, save_svg, write_csv};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let model = case_study::model(16);
     let what_if = WhatIf::new(model);
     let units = case_study::gpu().units(Precision::Single);
@@ -39,7 +39,7 @@ fn main() {
         "fig16_intensity",
         &["z", "ms_gbs", "ms_speedup", "cs_gflops", "cs_speedup"],
         &rows,
-    );
+    )?;
 
     let before = XGraph::build(&model, 512);
     let after = XGraph::build(
@@ -52,6 +52,7 @@ fn main() {
     let grid = PanelGrid::new("Fig. 16 — increasing Z", 2)
         .with(render::xgraph_chart(&before, Some(&units)))
         .with(render::xgraph_chart(&after, Some(&units)));
-    let path = save_svg("fig16_intensity", &grid.to_svg());
+    let path = save_svg("fig16_intensity", &grid.to_svg())?;
     println!("wrote {}", path.display());
+    Ok(())
 }

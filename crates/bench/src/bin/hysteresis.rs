@@ -21,7 +21,7 @@ fn model_at(z: f64) -> XModel {
     )
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     println!("Hysteresis sweep of compute intensity Z through the bistable window\n");
     let zs: Vec<f64> = (40..=150).step_by(2).map(|z| z as f64).collect();
 
@@ -75,7 +75,7 @@ fn main() {
         "hysteresis",
         &["z", "up", "up_k", "down", "down_k", "split"],
         &rows,
-    );
+    )?;
 
     let chart = Chart::new(
         "Hysteresis loop: MS throughput vs Z (warm-started sweeps)",
@@ -92,6 +92,7 @@ fn main() {
         down.iter().map(|&(z, f, _)| (z, f)).collect(),
         1,
     ));
-    let path = save_svg("hysteresis", &chart.to_svg(640.0, 400.0));
+    let path = save_svg("hysteresis", &chart.to_svg(640.0, 400.0))?;
     println!("wrote {}", path.display());
+    Ok(())
 }

@@ -16,7 +16,7 @@ use xmodel::viz::chart::{Chart, Series};
 use xmodel::viz::grid::PanelGrid;
 use xmodel_bench::{cell, print_table, save_svg, write_csv};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     println!("The occupancy debate, resolved in one model (intro, refs [1] and [2])\n");
 
     // (a) Kayiran et al. [1]: cache thrashing under full occupancy.
@@ -93,11 +93,12 @@ fn main() {
         .with(panel_a)
         .with(panel_b)
         .to_svg();
-    let path = save_svg("occupancy_debate", &svg);
+    let path = save_svg("occupancy_debate", &svg)?;
     write_csv(
         "occupancy_debate",
         &["occupancy", "warps", "ms"],
         &cache_rows,
-    );
+    )?;
     println!("\nwrote {}", path.display());
+    Ok(())
 }

@@ -8,7 +8,7 @@ use xmodel::profile::fitting::assemble_model;
 use xmodel::viz::chart::{Chart, Marker, Series};
 use xmodel_bench::{cell, print_table, save_svg, write_csv};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let gpu = GpuSpec::kepler_k40();
     let machine = gpu.machine_params(Precision::Single);
     let roof = Roofline::new(machine.m, machine.r);
@@ -61,10 +61,11 @@ fn main() {
         "roofline_figure",
         &["app", "z", "bound", "xmodel", "frac"],
         &rows,
-    );
+    )?;
     println!("\nEvery workload sits on or below its roofline; the gap is the");
     println!("thread/occupancy dimension the roofline cannot see (nw, lud),");
     println!("which is exactly the §VII critique.");
-    let path = save_svg("roofline_figure", &chart.to_svg(640.0, 420.0));
+    let path = save_svg("roofline_figure", &chart.to_svg(640.0, 420.0))?;
     println!("wrote {}", path.display());
+    Ok(())
 }

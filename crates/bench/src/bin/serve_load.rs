@@ -402,7 +402,7 @@ fn write_snapshot(
             bench("serve/request_p99", p99),
         ],
     };
-    let json = xmodel_bench::json::to_json(&snapshot).map_err(|e| e.to_string())?;
+    let json = xmodel_obs::json::try_to_string(&snapshot).map_err(|e| e.to_string())?;
     std::fs::write(out, format!("{json}\n")).map_err(|e| format!("{out}: {e}"))
 }
 

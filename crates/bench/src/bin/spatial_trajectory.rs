@@ -18,7 +18,7 @@ use xmodel::viz::chart::{Chart, Series};
 use xmodel::workloads::TraceSpec;
 use xmodel_bench::{cell, print_table, save_svg, write_csv};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     println!("Spatial-state trajectories: model ODE vs cycle-level simulator\n");
 
     // A memory-bound configuration with a clean transient.
@@ -97,10 +97,11 @@ fn main() {
             &format!("spatial_trajectory_{}", if i == 0 { "cs" } else { "ms" }),
             &["t", "model_k", "sim_k"],
             &csv,
-        );
+        )?;
     }
     print_table(&["launch", "model k(end)", "sim k(end)", "model k*"], &rows);
     println!("\nBoth descriptions converge to the same equilibrium from both sides.");
-    let path = save_svg("spatial_trajectory", &chart.to_svg(640.0, 400.0));
+    let path = save_svg("spatial_trajectory", &chart.to_svg(640.0, 400.0))?;
     println!("wrote {}", path.display());
+    Ok(())
 }

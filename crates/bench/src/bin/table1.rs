@@ -5,7 +5,7 @@
 use xmodel::prelude::Threads;
 use xmodel_bench::{cell, print_table, write_csv};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let model = xmodel_bench::case_study::model(16);
     let op = model.solve().operating_point().expect("operating point");
     let feats = model.ms_features(model.workload.n.max(64.0));
@@ -48,5 +48,6 @@ fn main() {
         .collect();
     println!("Table I — major parameters (values: gesummv on GTX570, 16 KiB L1)\n");
     print_table(&["symbol", "description", "case-study value"], &rows);
-    write_csv("table1", &["symbol", "description", "value"], &rows);
+    write_csv("table1", &["symbol", "description", "value"], &rows)?;
+    Ok(())
 }

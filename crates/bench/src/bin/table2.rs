@@ -5,7 +5,7 @@
 use xmodel::prelude::*;
 use xmodel_bench::{cell, print_table, write_csv};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     println!("Table II — experiment platforms (measured on the simulator)\n");
     let mut rows = Vec::new();
     for gpu in GpuSpec::all() {
@@ -70,6 +70,7 @@ fn main() {
             "ddp_paper",
         ],
         &rows,
-    );
+    )?;
     println!("\nδ columns are `warps / sustained GB/s` at MS saturation.");
+    Ok(())
 }

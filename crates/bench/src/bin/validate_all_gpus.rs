@@ -6,7 +6,7 @@
 use xmodel::prelude::*;
 use xmodel_bench::{print_table, write_csv, write_json};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     println!("Cross-architecture validation (the §IV generality claim)\n");
     // The three platforms validate independently: fan them out through
     // the sweep engine (results come back in GPU order regardless of
@@ -32,9 +32,10 @@ fn main() {
         reports.push((gpu.name.to_string(), rep));
     }
     print_table(&["GPU", "arch", "mean accuracy", "hardest app"], &rows);
-    write_csv("validate_all_gpus", &["gpu", "arch", "acc", "worst"], &rows);
-    write_json("validate_all_gpus", &reports);
+    write_csv("validate_all_gpus", &["gpu", "arch", "acc", "worst"], &rows)?;
+    write_json("validate_all_gpus", &reports)?;
     println!("\nPer-app details: `cargo run -p xmodel-cli -- validate --gpu <name>`");
     println!("(the paper reports 84.1% on Kepler silicon; see EXPERIMENTS.md");
     println!("for why the substrate numbers run higher).");
+    Ok(())
 }

@@ -9,8 +9,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod json;
-
 /// Bench-snapshot format version, shared by `bench-report` (the
 /// measure/compare harness) and `serve-load` (the daemon load
 /// generator) so `scripts/bench_gate.sh` can gate either file; bump on
@@ -18,40 +16,41 @@ pub mod json;
 pub const BENCH_SCHEMA: &str = "xmodel-bench/1";
 
 use std::fmt::Write as _;
+use std::io;
 use std::path::PathBuf;
 
 /// Experiment output directory (`target/experiments`), created on demand.
-pub fn out_dir() -> PathBuf {
+pub fn out_dir() -> io::Result<PathBuf> {
     let dir = PathBuf::from("target/experiments");
-    std::fs::create_dir_all(dir.join("figs")).expect("create output dirs");
-    dir
+    std::fs::create_dir_all(dir.join("figs"))?;
+    Ok(dir)
 }
 
 /// Write a CSV file under the experiment directory.
-pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> PathBuf {
+pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> io::Result<PathBuf> {
     let mut text = String::new();
     let _ = writeln!(text, "{}", header.join(","));
     for row in rows {
         let _ = writeln!(text, "{}", row.join(","));
     }
-    let path = out_dir().join(format!("{name}.csv"));
-    std::fs::write(&path, text).expect("write csv");
-    path
+    let path = out_dir()?.join(format!("{name}.csv"));
+    std::fs::write(&path, text)?;
+    Ok(path)
 }
 
 /// Write an SVG figure under `target/experiments/figs`.
-pub fn save_svg(name: &str, svg: &str) -> PathBuf {
-    let path = out_dir().join("figs").join(format!("{name}.svg"));
-    std::fs::write(&path, svg).expect("write svg");
-    path
+pub fn save_svg(name: &str, svg: &str) -> io::Result<PathBuf> {
+    let path = out_dir()?.join("figs").join(format!("{name}.svg"));
+    std::fs::write(&path, svg)?;
+    Ok(path)
 }
 
 /// Write a JSON report under the experiment directory.
-pub fn write_json<T: serde::Serialize>(name: &str, value: &T) -> PathBuf {
-    let text = json::to_json(value).expect("serialize report");
-    let path = out_dir().join(format!("{name}.json"));
-    std::fs::write(&path, text).expect("write json");
-    path
+pub fn write_json<T: serde::Serialize>(name: &str, value: &T) -> io::Result<PathBuf> {
+    let text = xmodel_obs::json::try_to_string(value).map_err(io::Error::other)?;
+    let path = out_dir()?.join(format!("{name}.json"));
+    std::fs::write(&path, text)?;
+    Ok(path)
 }
 
 /// Print an aligned table to stdout.
@@ -93,14 +92,15 @@ mod tests {
             "selftest",
             &["a", "b"],
             &[vec!["1".into(), "2".into()], vec!["3".into(), "4".into()]],
-        );
+        )
+        .unwrap();
         let text = std::fs::read_to_string(p).unwrap();
         assert_eq!(text, "a,b\n1,2\n3,4\n");
     }
 
     #[test]
     fn svg_saved() {
-        let p = save_svg("selftest", "<svg/>");
+        let p = save_svg("selftest", "<svg/>").unwrap();
         assert!(p.exists());
     }
 

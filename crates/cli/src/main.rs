@@ -30,6 +30,7 @@ use xmodel::core::xgraph::XGraph;
 use xmodel::prelude::*;
 use xmodel::render;
 use xmodel::sim::{FaultSpec, SolverFault, Watchdog};
+use xmodel_obs::json;
 use xmodel_obs::manifest::RunManifest;
 
 /// The exit-code contract (asserted by `scripts/ci.sh`):
@@ -607,8 +608,9 @@ fn get_f64(flags: &HashMap<String, String>, key: &str) -> Result<Option<f64>, St
 const L1_MAX_KIB: f64 = 64.0;
 
 /// Parse an L1 size in KiB for the commands that fit locality to it
-/// (`workload`, `whatif`, `residuals`): a number from 0 to 64, whole KiB
-/// taken. Negative, non-finite and larger values are usage errors.
+/// (`workload`, `whatif`, `residuals`) or simulate it (`sim`, whose
+/// Table II presets have at most 64 KiB): a number from 0 to 64, whole
+/// KiB taken. Negative, non-finite and larger values are usage errors.
 fn parse_l1_kib(value: &str) -> Result<u64, String> {
     let kib = value.parse::<f64>().map_err(|e| format!("--l1: {e}"))?;
     if !(0.0..=L1_MAX_KIB).contains(&kib) {
@@ -796,22 +798,25 @@ fn cmd_sim(flags: HashMap<String, String>) -> Result<(), CliError> {
     let precision = xmodel::profile::fitting::workload_precision(&w);
     let mut cfg = xmodel::profile::sim_config_for(&gpu, precision);
     cfg.request_bytes = 128.0 * w.coalesce;
-    if let Some(kib) = get_f64(&flags, "l1")? {
-        if kib > 0.0 {
-            cfg.l1 = Some(xmodel::sim::CacheConfig {
-                capacity_bytes: (kib * 1024.0) as u64,
-                line_bytes: 128,
-                ways: 8,
-                hit_latency: 28,
-                mshrs: 64,
-            });
-        }
+    let l1 = get_l1_kib(&flags, 0)?;
+    if l1 > 0 {
+        cfg.l1 = Some(xmodel::sim::CacheConfig {
+            capacity_bytes: l1 * 1024,
+            line_bytes: 128,
+            ways: 8,
+            hit_latency: 28,
+            mshrs: 64,
+        });
     }
     let a = w.kernel.analyze();
-    let occ = Occupancy::compute(&w.kernel, &xmodel::profile::fitting::arch_limits(&gpu, 0));
-    let warps = get_f64(&flags, "warps")?
-        .map(|v| v as u32)
-        .unwrap_or_else(|| occ.warps.min(gpu.max_warps as u32));
+    let max_warps = gpu.max_warps as u32;
+    let warps = match flags.get("warps") {
+        Some(v) => parse_warps(v, max_warps)?,
+        None => {
+            let limits = xmodel::profile::fitting::arch_limits(&gpu, 0);
+            Occupancy::compute(&w.kernel, &limits).warps.min(max_warps)
+        }
+    };
 
     let ir_mode = flags.contains_key("ir");
     let spec = fault_spec();
@@ -894,12 +899,14 @@ fn cmd_sim(flags: HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Render a finite f64 as a JSON number, a non-finite one as `null`.
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+/// Parse `sim --warps`: a whole number of resident warps from 1 to the
+/// preset's `max_warps` (48 on Fermi, 64 on Kepler and Maxwell).
+fn parse_warps(value: &str, max_warps: u32) -> Result<u32, String> {
+    match value.parse::<u32>() {
+        Ok(warps) if (1..=max_warps).contains(&warps) => Ok(warps),
+        _ => Err(format!(
+            "--warps must be a whole number from 1 to {max_warps}, got `{value}`"
+        )),
     }
 }
 
@@ -981,30 +988,32 @@ fn cmd_sweep(flags: HashMap<String, String>) -> Result<(), CliError> {
         (n, eq.points().len(), eq.operating_point())
     });
 
-    // Deterministic hand-rolled JSON: results are collected in index
-    // order and `jobs` is deliberately *not* recorded, so the bytes are
-    // identical for any worker count (asserted by scripts/ci.sh).
+    // Hand-laid JSON, one row per line, with every number written by
+    // `obs::json`: results are collected in index order and `jobs` is
+    // deliberately *not* recorded, so the bytes are identical for any
+    // worker count (asserted by scripts/ci.sh).
+    let num = |v: f64| json::to_string(&v);
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"xmodel-sweep/1\",\n");
     out.push_str(&format!(
         "  \"machine\": {{\"m\": {}, \"r\": {}, \"l\": {}}},\n",
-        jnum(base.machine.m),
-        jnum(base.machine.r),
-        jnum(base.machine.l)
+        num(base.machine.m),
+        num(base.machine.r),
+        num(base.machine.l)
     ));
     out.push_str(&format!(
         "  \"workload\": {{\"z\": {}, \"e\": {}, \"n_max\": {}}},\n",
-        jnum(base.workload.z),
-        jnum(base.workload.e),
-        jnum(n_max)
+        num(base.workload.z),
+        num(base.workload.e),
+        num(n_max)
     ));
     match base.cache {
         Some(c) => out.push_str(&format!(
             "  \"cache\": {{\"s_bytes\": {}, \"l_cache\": {}, \"alpha\": {}, \"beta\": {}}},\n",
-            jnum(c.s_cache),
-            jnum(c.l_cache),
-            jnum(c.alpha),
-            jnum(c.beta)
+            num(c.s_cache),
+            num(c.l_cache),
+            num(c.alpha),
+            num(c.beta)
         )),
         None => out.push_str("  \"cache\": null,\n"),
     }
@@ -1013,27 +1022,21 @@ fn cmd_sweep(flags: HashMap<String, String>) -> Result<(), CliError> {
     ));
     for (i, (n, roots, op)) in rows.iter().enumerate() {
         let body = match op {
-            Some(p) => {
-                let stab = match p.stability {
-                    Stability::Stable => "stable",
-                    Stability::Unstable => "unstable",
-                    Stability::Marginal => "marginal",
-                };
-                format!(
-                    "\"k\": {}, \"x\": {}, \"ms\": {}, \"cs\": {}, \"stability\": \"{stab}\"",
-                    jnum(p.k),
-                    jnum(p.x),
-                    jnum(p.ms_throughput),
-                    jnum(p.cs_throughput)
-                )
-            }
+            Some(p) => format!(
+                "\"k\": {}, \"x\": {}, \"ms\": {}, \"cs\": {}, \"stability\": \"{}\"",
+                num(p.k),
+                num(p.x),
+                num(p.ms_throughput),
+                num(p.cs_throughput),
+                p.stability.as_str()
+            ),
             None => "\"k\": null, \"x\": null, \"ms\": null, \"cs\": null, \"stability\": null"
                 .to_string(),
         };
         let sep = if i + 1 == rows.len() { "" } else { "," };
         out.push_str(&format!(
             "    {{\"n\": {}, \"roots\": {roots}, {body}}}{sep}\n",
-            jnum(*n)
+            num(*n)
         ));
     }
     out.push_str("  ]\n}\n");

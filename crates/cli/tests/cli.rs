@@ -315,6 +315,7 @@ fn trace_report_profile_flag_appends_profile() {
 
 #[test]
 fn profile_and_trace_report_survive_malformed_traces() {
+    const SPAN: &str = "{\"kind\":\"span\",\"t_us\":1,\"name\":\"a\",\"dur_us\":5}";
     let empty = temp_path("empty.jsonl");
     std::fs::write(&empty, "").unwrap();
     let (ok, out, _) = run(&["profile", empty.to_str().unwrap()]);
@@ -325,11 +326,7 @@ fn profile_and_trace_report_survive_malformed_traces() {
     assert!(out.contains("warning: trace is empty"), "{out}");
 
     let torn = temp_path("torn.jsonl");
-    std::fs::write(
-        &torn,
-        "{\"kind\":\"span\",\"t_us\":1,\"name\":\"a\",\"dur_us\":5}\n{\"kind\":\"sp",
-    )
-    .unwrap();
+    std::fs::write(&torn, format!("{SPAN}\n{{\"kind\":\"sp")).unwrap();
     let (ok, out, _) = run(&["profile", torn.to_str().unwrap()]);
     assert!(ok, "{out}");
     assert!(out.contains("malformed"), "{out}");
@@ -337,8 +334,19 @@ fn profile_and_trace_report_survive_malformed_traces() {
     let (ok, out, _) = run(&["trace-report", torn.to_str().unwrap()]);
     assert!(ok, "{out}");
     assert!(out.contains("1 malformed"), "{out}");
+
+    // A line nested far past the parser's depth cap is one more
+    // malformed line, not a stack overflow.
+    let deep = temp_path("deep.jsonl");
+    std::fs::write(&deep, format!("{SPAN}\n{}\n", "[".repeat(200_000))).unwrap();
+    for command in ["profile", "trace-report"] {
+        let (ok, out, _) = run(&[command, deep.to_str().unwrap()]);
+        assert!(ok, "{command}: {out}");
+        assert!(out.contains("1 malformed"), "{command}: {out}");
+    }
     std::fs::remove_file(&empty).ok();
     std::fs::remove_file(&torn).ok();
+    std::fs::remove_file(&deep).ok();
 }
 
 #[test]
@@ -376,15 +384,17 @@ fn sweep_rejects_flags_it_does_not_read() {
 }
 
 /// `--l1` outside 0–64 KiB is a usage error naming the flag, in every
-/// command that fits locality to it — not a cacheless model, an
-/// overflowed byte count or an underflowed Fermi shared-memory split.
+/// command that fits locality to it or simulates it — not a cacheless
+/// model, an overflowed byte count, an exabyte cache allocation or an
+/// underflowed Fermi shared-memory split.
 #[test]
 fn l1_out_of_range_is_a_usage_error() {
     let simtrace = concat!(env!("CARGO_MANIFEST_DIR"), "/../../SIMTRACE_seed.jsonl");
-    let commands: [&[&str]; 3] = [
+    let commands: [&[&str]; 4] = [
         &["workload", "gesummv"],
         &["whatif", "--workload", "gesummv"],
         &["residuals", simtrace],
+        &["sim", "--workload", "gesummv"],
     ];
     for command in commands {
         for l1 in ["-16", "NaN", "1e30", "100"] {
@@ -399,6 +409,35 @@ fn l1_out_of_range_is_a_usage_error() {
             assert!(out.stdout.is_empty(), "{command:?} --l1 {l1}: no output");
         }
     }
+}
+
+/// `sim --warps` takes a whole number from 1 to the preset's
+/// `max_warps` (48 on Fermi): not a panic on zero, a huge allocation,
+/// or a silently truncated fraction.
+#[test]
+fn sim_warps_out_of_range_is_a_usage_error() {
+    for warps in ["0", "-3", "NaN", "2.5", "1e30", "49"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_xmodel"))
+            .args(["sim", "--workload", "gesummv", "--gpu", "fermi"])
+            .args(["--warps", warps])
+            .output()
+            .expect("spawn xmodel");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--warps {warps}: {err}");
+        assert!(err.contains("--warps"), "--warps {warps}: {err}");
+        assert!(out.stdout.is_empty(), "--warps {warps}: no output");
+    }
+    let (ok, out, err) = run(&[
+        "sim",
+        "--workload",
+        "gesummv",
+        "--gpu",
+        "fermi",
+        "--warps",
+        "48",
+    ]);
+    assert!(ok, "{err}");
+    assert!(out.contains("(48 warps"), "{out}");
 }
 
 #[test]

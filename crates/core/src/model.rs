@@ -254,4 +254,16 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, model());
     }
+
+    #[test]
+    fn real_report_types_serialize() {
+        let model = XModel::new(
+            MachineParams::new(6.0, 0.1, 600.0),
+            WorkloadParams::new(20.0, 1.0, 48.0),
+        );
+        let json = xmodel_obs::json::to_string(&model.solve());
+        assert!(json.contains("\"ms_throughput\""), "{json}");
+        assert!(json.contains("\"Stable\""), "{json}");
+        assert!(xmodel_obs::json::to_string(&model.parallelism()).contains("machine_mlp"));
+    }
 }

@@ -42,9 +42,10 @@ use crate::fastpath::{solve_fast, CurveKey, CurveTable, SolveCache};
 use crate::model::XModel;
 use crate::params::{MachineParams, WorkloadParams};
 use crate::presets::{GpuSpec, Precision};
-use crate::solver::DEFAULT_SAMPLES;
-use crate::stability::Stability;
+use crate::solver::{Intersection, DEFAULT_SAMPLES};
 use crate::whatif::{Optimization, WhatIf};
+use serde::ser::{SerializeStruct, Serializer};
+use serde::Serialize;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::Read;
@@ -53,6 +54,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use xmodel_obs::http::{self, HttpLimits, Request, Response};
+use xmodel_obs::json::JsonValue;
 use xmodel_obs::names::{metric, span};
 
 /// Schema tag carried by every JSON body the daemon emits.
@@ -689,12 +691,13 @@ fn route(shared: &Shared, request: &Request, accepted: Instant, depth: usize) ->
         }
         ("POST", "/quitck") => {
             shared.begin_drain();
-            Response::ok(
-                JSON_TEXT,
-                format!(
-                    "{{\"schema\":{},\"kind\":\"drain\",\"status\":\"draining\"}}\n",
-                    jstr(SERVE_SCHEMA)
-                ),
+            json_response(
+                200,
+                &DrainBody {
+                    schema: SERVE_SCHEMA,
+                    kind: "drain",
+                    status: "draining",
+                },
             )
         }
         ("POST", "/solve") | ("POST", "/sweep") | ("POST", "/whatif") => {
@@ -723,8 +726,10 @@ fn route(shared: &Shared, request: &Request, accepted: Instant, depth: usize) ->
     }
 }
 
-/// The per-request knobs shared by every POST route.
+/// The per-request knobs shared by every POST route, plus the parsed
+/// body for the route-specific fields.
 struct ParsedRequest {
+    json: JsonValue,
     model: XModel,
     samples: usize,
     deadline: Deadline,
@@ -756,10 +761,7 @@ fn parse_request(
                 )))
             }
         };
-        let precision = match json
-            .get("dp")
-            .map(|v| matches!(v, xmodel_obs::json::JsonValue::Bool(true)))
-        {
+        let precision = match json.get("dp").map(|v| matches!(v, JsonValue::Bool(true))) {
             Some(true) => Precision::Double,
             _ => Precision::Single,
         };
@@ -811,6 +813,7 @@ fn parse_request(
         .max(1);
 
     Ok(ParsedRequest {
+        json,
         model,
         samples,
         deadline: Deadline::new(accepted, budget_ms),
@@ -873,20 +876,15 @@ fn handle_solve(
         force,
     )?;
     parsed.deadline.check()?;
-    let p = resolved.point;
-    let body = format!(
-        "{{\"schema\":{},\"kind\":\"solve\",\"degradation\":{},\"residual\":{},\"roots\":{},\"point\":{{\"k\":{},\"x\":{},\"ms\":{},\"cs\":{},\"stability\":{}}}}}\n",
-        jstr(SERVE_SCHEMA),
-        jstr(resolved.degradation.as_str()),
-        jnum(resolved.residual),
+    let body = SolveBody {
+        schema: SERVE_SCHEMA,
+        kind: "solve",
+        degradation: resolved.degradation.as_str(),
+        residual: resolved.residual,
         roots,
-        jnum(p.k),
-        jnum(p.x),
-        jnum(p.ms_throughput),
-        jnum(p.cs_throughput),
-        jstr(stability_str(p.stability)),
-    );
-    Ok(Response::ok(JSON_TEXT, body).header("X-Degradation", resolved.degradation.as_str()))
+        point: resolved.point.into(),
+    };
+    Ok(json_response(200, &body).header("X-Degradation", resolved.degradation.as_str()))
 }
 
 fn handle_sweep(
@@ -896,16 +894,16 @@ fn handle_sweep(
     force: DegradeForce,
 ) -> Result<Response, ServeError> {
     let parsed = parse_request(shared, request, accepted)?;
-    let json = xmodel_obs::json::parse(&request.body)
-        .map_err(|e| ServeError::BadRequest(format!("body is not JSON: {e}")))?;
-    let n_max = json
+    let n_max = parsed
+        .json
         .get("n_max")
         .and_then(|v| v.as_f64())
         .unwrap_or(parsed.model.workload.n);
     if !(n_max.is_finite() && n_max >= 1.0) {
         return Err(ServeError::BadRequest("`n_max` must be >= 1".into()));
     }
-    let points = json
+    let points = parsed
+        .json
         .get("points")
         .and_then(|v| v.as_u64())
         .map(|p| p as usize)
@@ -917,7 +915,7 @@ fn handle_sweep(
     // curve does not depend on `n`, only the scan domain does.
     let table = (force == DegradeForce::None).then(|| CurveTable::build(&parsed.model, n_max));
 
-    let mut rows = String::new();
+    let mut rows = Vec::with_capacity(points);
     let mut worst = Degradation::Exact;
     for i in 0..points {
         if i % SWEEP_CHECK_EVERY == 0 {
@@ -928,54 +926,36 @@ fn handle_sweep(
             workload: parsed.model.workload.with_n(n),
             ..parsed.model
         };
-        let (row, rung) = match &table {
+        let (roots, point, rung) = match &table {
             Some(table) => {
                 let eq = solve_fast(&model_n, table, parsed.samples);
-                (
-                    sweep_row(n, eq.points().len(), eq.operating_point()),
-                    Degradation::Exact,
-                )
+                (eq.points().len(), eq.operating_point(), Degradation::Exact)
             }
             None => {
                 let resolved = degrade::resolve(&model_n, parsed.samples, force)
                     .map_err(|e| ServeError::Model(e.to_string()))?;
-                (sweep_row(n, 0, Some(resolved.point)), resolved.degradation)
+                (0, Some(resolved.point), resolved.degradation)
             }
         };
         if rung.is_degraded() && !worst.is_degraded() {
             worst = rung;
         }
-        if !rows.is_empty() {
-            rows.push(',');
-        }
-        rows.push_str(&row);
+        rows.push(SweepRow {
+            n,
+            roots,
+            point: point.map(PointBody::from),
+        });
     }
     parsed.deadline.check()?;
-    let body = format!(
-        "{{\"schema\":{},\"kind\":\"sweep\",\"degradation\":{},\"n_max\":{},\"points\":{},\"rows\":[{}]}}\n",
-        jstr(SERVE_SCHEMA),
-        jstr(worst.as_str()),
-        jnum(n_max),
+    let body = SweepBody {
+        schema: SERVE_SCHEMA,
+        kind: "sweep",
+        degradation: worst.as_str(),
+        n_max,
         points,
         rows,
-    );
-    Ok(Response::ok(JSON_TEXT, body).header("X-Degradation", worst.as_str()))
-}
-
-fn sweep_row(n: f64, roots: usize, point: Option<crate::solver::Intersection>) -> String {
-    match point {
-        Some(p) => format!(
-            "{{\"n\":{},\"roots\":{},\"k\":{},\"x\":{},\"ms\":{},\"cs\":{},\"stability\":{}}}",
-            jnum(n),
-            roots,
-            jnum(p.k),
-            jnum(p.x),
-            jnum(p.ms_throughput),
-            jnum(p.cs_throughput),
-            jstr(stability_str(p.stability)),
-        ),
-        None => format!("{{\"n\":{},\"roots\":{}}}", jnum(n), roots),
-    }
+    };
+    Ok(json_response(200, &body).header("X-Degradation", worst.as_str()))
 }
 
 fn handle_whatif(
@@ -1019,86 +999,142 @@ fn handle_whatif(
         ));
     }
 
-    let mut out = String::new();
+    let mut evaluated = Vec::with_capacity(candidates.len());
     for (name, opt) in candidates {
         parsed.deadline.check()?;
-        if !out.is_empty() {
-            out.push(',');
-        }
-        match what_if.evaluate(opt) {
-            Some(effect) => out.push_str(&format!(
-                "{{\"name\":{},\"ms_speedup\":{},\"cs_speedup\":{}}}",
-                jstr(name),
-                jnum(effect.ms_speedup()),
-                jnum(effect.cs_speedup()),
-            )),
-            None => out.push_str(&format!(
-                "{{\"name\":{},\"ms_speedup\":null,\"cs_speedup\":null}}",
-                jstr(name)
-            )),
-        }
+        let effect = what_if.evaluate(opt);
+        evaluated.push(CandidateBody {
+            name,
+            ms_speedup: effect.map(|e| e.ms_speedup()),
+            cs_speedup: effect.map(|e| e.cs_speedup()),
+        });
     }
-    let body = format!(
-        "{{\"schema\":{},\"kind\":\"whatif\",\"thrashing\":{},\"candidates\":[{}]}}\n",
-        jstr(SERVE_SCHEMA),
-        what_if.is_thrashing(),
-        out,
-    );
-    Ok(Response::ok(JSON_TEXT, body))
+    let body = WhatIfBody {
+        schema: SERVE_SCHEMA,
+        kind: "whatif",
+        thrashing: what_if.is_thrashing(),
+        candidates: evaluated,
+    };
+    Ok(json_response(200, &body))
 }
 
 /// A JSON error body (`kind: "error"`) with the status repeated inside,
 /// so clients that only log bodies still see the contract.
 fn error_response(status: u16, reason: &str) -> Response {
-    Response::with_status(
+    let body = ErrorBody {
+        schema: SERVE_SCHEMA,
+        kind: "error",
         status,
-        JSON_TEXT,
-        format!(
-            "{{\"schema\":{},\"kind\":\"error\",\"status\":{},\"error\":{}}}\n",
-            jstr(SERVE_SCHEMA),
-            status,
-            jstr(reason),
-        ),
-    )
+        error: reason.to_string(),
+    };
+    json_response(status, &body)
 }
 
-/// Stable lowercase form matching the CLI sweep output.
-fn stability_str(stability: Stability) -> &'static str {
-    match stability {
-        Stability::Stable => "stable",
-        Stability::Unstable => "unstable",
-        Stability::Marginal => "marginal",
-    }
+/// `body` through the shared JSON writer, newline-terminated.
+fn json_response(status: u16, body: &impl Serialize) -> Response {
+    let mut text = xmodel_obs::json::to_string(body);
+    text.push('\n');
+    Response::with_status(status, JSON_TEXT, text)
 }
 
-/// Finite floats as shortest-roundtrip decimal, non-finite as `null`
-/// (JSON has no Inf/NaN) — same contract as the CLI's sweep writer.
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
+// Response bodies. Every one opens with `schema` (always
+// `SERVE_SCHEMA`) and `kind`; field order is wire order.
+
+#[derive(Serialize)]
+struct SolveBody {
+    schema: &'static str,
+    kind: &'static str,
+    degradation: &'static str,
+    residual: f64,
+    roots: usize,
+    point: PointBody,
 }
 
-/// A JSON string literal with escaping for the characters our payloads
-/// can actually contain (quotes, backslashes, control chars).
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+#[derive(Serialize)]
+struct PointBody {
+    k: f64,
+    x: f64,
+    ms: f64,
+    cs: f64,
+    stability: &'static str,
+}
+
+impl From<Intersection> for PointBody {
+    fn from(p: Intersection) -> Self {
+        Self {
+            k: p.k,
+            x: p.x,
+            ms: p.ms_throughput,
+            cs: p.cs_throughput,
+            stability: p.stability.as_str(),
         }
     }
-    out.push('"');
-    out
+}
+
+#[derive(Serialize)]
+struct SweepBody {
+    schema: &'static str,
+    kind: &'static str,
+    degradation: &'static str,
+    n_max: f64,
+    points: usize,
+    rows: Vec<SweepRow>,
+}
+
+/// One sweep row: `n` and `roots`, then the point's fields inline, or
+/// nothing more when the row has no operating point. The derive has no
+/// flatten or skip attributes, so this shape is written by hand.
+struct SweepRow {
+    n: f64,
+    roots: usize,
+    point: Option<PointBody>,
+}
+
+impl Serialize for SweepRow {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut row = serializer.serialize_struct("SweepRow", 7)?;
+        row.serialize_field("n", &self.n)?;
+        row.serialize_field("roots", &self.roots)?;
+        if let Some(p) = &self.point {
+            row.serialize_field("k", &p.k)?;
+            row.serialize_field("x", &p.x)?;
+            row.serialize_field("ms", &p.ms)?;
+            row.serialize_field("cs", &p.cs)?;
+            row.serialize_field("stability", p.stability)?;
+        }
+        row.end()
+    }
+}
+
+#[derive(Serialize)]
+struct WhatIfBody {
+    schema: &'static str,
+    kind: &'static str,
+    thrashing: bool,
+    candidates: Vec<CandidateBody>,
+}
+
+/// Speedups are `null` when the candidate has no equilibrium.
+#[derive(Serialize)]
+struct CandidateBody {
+    name: &'static str,
+    ms_speedup: Option<f64>,
+    cs_speedup: Option<f64>,
+}
+
+#[derive(Serialize)]
+struct ErrorBody {
+    schema: &'static str,
+    kind: &'static str,
+    status: u16,
+    error: String,
+}
+
+#[derive(Serialize)]
+struct DrainBody {
+    schema: &'static str,
+    kind: &'static str,
+    status: &'static str,
 }
 
 #[cfg(test)]
@@ -1210,6 +1246,14 @@ mod tests {
         );
         assert_eq!(status, 400, "{body}");
 
+        // Nesting past the parser's cap is a 400, not a stack overflow
+        // that takes the worker and the daemon down with it.
+        let (status, _, body) = post(addr, "/solve", &"[".repeat(60_000));
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("nesting deeper than"), "{body}");
+        let (status, _, body) = post(addr, "/solve", FERMI_BODY);
+        assert_eq!(status, 200, "{body}");
+
         server.drain();
         let report = server.wait();
         assert!(report.clean_drain);
@@ -1299,10 +1343,102 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_are_wellformed() {
-        assert_eq!(jstr("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(jnum(1.5), "1.5");
-        assert_eq!(jnum(f64::NAN), "null");
-        assert_eq!(jnum(f64::INFINITY), "null");
+    fn sweep_row_without_a_point_is_n_and_roots() {
+        let row = SweepRow {
+            n: 1.5,
+            roots: 0,
+            point: None,
+        };
+        assert_eq!(xmodel_obs::json::to_string(&row), r#"{"n":1.5,"roots":0}"#);
+    }
+
+    /// Whole response bodies, byte for byte. The wire format is the
+    /// contract `xmodel-serve/1` names, so a change to any body's keys,
+    /// key order, number formatting or escaping fails here.
+    #[test]
+    fn bodies_match_pinned_bytes() {
+        let server = Server::start(test_config()).expect("start");
+        let addr = server.addr();
+        let kepler = r#"{"gpu":"kepler","z":20,"n":48}"#;
+        let cases = [
+            (
+                "POST /solve",
+                kepler,
+                200,
+                r#"{"schema":"xmodel-serve/1","kind":"solve","degradation":"exact","residual":0.0000000000010850348397539733,"roots":1,"point":{"k":46.44664215815283,"x":1.5533578418471734,"ms":0.0776678920934437,"cs":1.553357841868874,"stability":"stable"}}"#,
+            ),
+            (
+                "POST /solve",
+                FERMI_BODY,
+                200,
+                r#"{"schema":"xmodel-serve/1","kind":"solve","degradation":"exact","residual":0.000000000000004926614671774132,"roots":1,"point":{"k":28.611135103226843,"x":19.388864896773157,"ms":0.05000000000000493,"cs":1.0000000000000986,"stability":"stable"}}"#,
+            ),
+            (
+                "POST /solve",
+                r#"{"m":6,"r":0.107,"l":520,"z":20,"e":1.5,"n":48,"samples":512}"#,
+                200,
+                r#"{"schema":"xmodel-serve/1","kind":"solve","degradation":"exact","residual":0.0000000000003358147093734942,"roots":1,"point":{"k":46.799999999995634,"x":1.2000000000043656,"ms":0.0899999999999916,"cs":1.799999999999832,"stability":"stable"}}"#,
+            ),
+            (
+                "POST /sweep",
+                r#"{"gpu":"fermi","z":16,"n":48,"l1_kib":16,"n_max":32,"points":4}"#,
+                200,
+                r#"{"schema":"xmodel-serve/1","kind":"sweep","degradation":"exact","n_max":32,"points":4,"rows":[{"n":1,"roots":1,"k":0.6898981974968592,"x":0.3101018025031408,"ms":0.01938136265643376,"cs":0.31010180250294017,"stability":"stable"},{"n":11.333333333333334,"roots":1,"k":10.798365152688046,"x":0.5349681806452882,"ms":0.03343551129038053,"cs":0.5349681806460885,"stability":"stable"},{"n":21.666666666666668,"roots":1,"k":20.988820921398506,"x":0.6778457452681614,"ms":0.04236535907964711,"cs":0.6778457452743537,"stability":"stable"},{"n":32,"roots":1,"k":31.158066992196837,"x":0.8419330078031635,"ms":0.052620812987577634,"cs":0.8419330078012421,"stability":"stable"}]}"#,
+            ),
+            (
+                "POST /sweep",
+                r#"{"gpu":"maxwell","z":4,"n_max":64,"points":3}"#,
+                200,
+                r#"{"schema":"xmodel-serve/1","kind":"sweep","degradation":"exact","n_max":64,"points":3,"rows":[{"n":1,"roots":1,"k":0.9920152061631597,"x":0.007984793836840254,"ms":0.0019961984591288923,"cs":0.007984793836515569,"stability":"stable"},{"n":32.5,"roots":1,"k":32.24049420031747,"x":0.25950579968252896,"ms":0.06487644992171875,"cs":0.259505799686875,"stability":"stable"},{"n":64,"roots":1,"k":63.54925241865567,"x":0.4507475813443307,"ms":0.11268689533861037,"cs":0.4507475813544415,"stability":"stable"}]}"#,
+            ),
+            (
+                "POST /whatif",
+                FERMI_BODY,
+                200,
+                r#"{"schema":"xmodel-serve/1","kind":"whatif","thrashing":false,"candidates":[{"name":"throttle","ms_speedup":1.0000000000000113,"cs_speedup":1.0000000000000113},{"name":"bypass","ms_speedup":1,"cs_speedup":1},{"name":"intensity","ms_speedup":0.49999999999983624,"cs_speedup":0.9999999999996725},{"name":"reduce-ilp","ms_speedup":1,"cs_speedup":1},{"name":"enlarge-cache","ms_speedup":1.0000000000000506,"cs_speedup":1.0000000000000506}]}"#,
+            ),
+            (
+                "POST /whatif",
+                kepler,
+                200,
+                r#"{"schema":"xmodel-serve/1","kind":"whatif","thrashing":false,"candidates":[{"name":"bypass","ms_speedup":1,"cs_speedup":1},{"name":"intensity","ms_speedup":0.9686528237533311,"cs_speedup":1.9373056475066621},{"name":"reduce-ilp","ms_speedup":0.9686528237533311,"cs_speedup":0.9686528237533311}]}"#,
+            ),
+            (
+                "POST /solve",
+                r#"{"gpu":"a\"b\nc","z":20,"n":48}"#,
+                400,
+                r#"{"schema":"xmodel-serve/1","kind":"error","status":400,"error":"bad request: unknown gpu `a\"b\nc` (fermi|kepler|maxwell)"}"#,
+            ),
+            (
+                "GET /nope",
+                "",
+                404,
+                r#"{"schema":"xmodel-serve/1","kind":"error","status":404,"error":"not found"}"#,
+            ),
+            (
+                "DELETE /solve",
+                "",
+                405,
+                r#"{"schema":"xmodel-serve/1","kind":"error","status":405,"error":"method not allowed"}"#,
+            ),
+            (
+                "POST /quitck",
+                "",
+                200,
+                r#"{"schema":"xmodel-serve/1","kind":"drain","status":"draining"}"#,
+            ),
+        ];
+        for (route, body, want_status, want) in cases {
+            let (status, _, got) = request(
+                addr,
+                &format!(
+                    "{route} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                ),
+            );
+            assert_eq!(status, want_status, "{route} {body}: {got}");
+            assert_eq!(got, format!("{want}\n"), "{route} {body}");
+        }
+        assert!(server.wait().clean_drain);
     }
 }

@@ -51,6 +51,16 @@ impl Stability {
     pub fn is_stable(self) -> bool {
         matches!(self, Stability::Stable)
     }
+
+    /// Lowercase wire form (`stable` / `unstable` / `marginal`) shared by
+    /// the served bodies and the `xmodel-sweep/1` rows.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Stability::Stable => "stable",
+            Stability::Unstable => "unstable",
+            Stability::Marginal => "marginal",
+        }
+    }
 }
 
 #[cfg(test)]

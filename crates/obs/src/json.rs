@@ -1,7 +1,7 @@
-//! JSON support for the trace layer: a serde-driven compact writer (used
-//! by the JSONL sink and the run manifest) and a small recursive-descent
-//! parser (used by `trace-report`, which must read traces back without a
-//! deserializer framework).
+//! JSON for the workspace: a serde-driven compact writer (trace lines,
+//! the run manifest, served bodies, bench snapshots, the numbers in
+//! `xmodel sweep` files) and a small recursive-descent parser (traces,
+//! request bodies, snapshots) that needs no deserializer framework.
 
 use serde::ser::{self, Serialize};
 use std::collections::BTreeMap;
@@ -453,10 +453,17 @@ impl JsonValue {
     }
 }
 
-/// Parse one JSON document; trailing whitespace is allowed.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap a body of a few thousand `[` bytes
+/// overflows the stack and takes the whole process down; the deepest
+/// document the workspace writes nests three levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parse one JSON document; trailing whitespace is allowed. Nesting
+/// deeper than [`MAX_DEPTH`] is an error naming the byte offset.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let mut pos = 0usize;
-    let value = parse_value(text, &mut pos)?;
+    let value = parse_value(text, &mut pos, 0)?;
     skip_ws(text.as_bytes(), &mut pos);
     if pos != text.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -484,12 +491,15 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(text: &str, pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(text, pos),
-        Some(b'[') => parse_array(text, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
+        Some(b'{') => parse_object(text, pos, depth + 1),
+        Some(b'[') => parse_array(text, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(text, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", JsonValue::Bool(false)),
@@ -577,7 +587,7 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(text: &str, pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(text: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
@@ -587,7 +597,7 @@ fn parse_array(text: &str, pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Array(items));
     }
     loop {
-        items.push(parse_value(text, pos)?);
+        items.push(parse_value(text, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -600,7 +610,7 @@ fn parse_array(text: &str, pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(text: &str, pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(text: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
@@ -614,7 +624,7 @@ fn parse_object(text: &str, pos: &mut usize) -> Result<JsonValue, String> {
         let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        map.insert(key, parse_value(text, pos)?);
+        map.insert(key, parse_value(text, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -630,6 +640,84 @@ fn parse_object(text: &str, pos: &mut usize) -> Result<JsonValue, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Serialize;
+
+    #[derive(Serialize)]
+    struct Point {
+        x: f64,
+        y: f64,
+        label: String,
+    }
+
+    #[derive(Serialize)]
+    enum Shape {
+        Unit,
+        Newtype(f64),
+        Tuple(i32, i32),
+        Struct { w: u32 },
+    }
+
+    #[test]
+    fn scalars() {
+        assert_eq!(to_string(&42i32), "42");
+        assert_eq!(to_string(&true), "true");
+        assert_eq!(to_string(&2.5f64), "2.5");
+        assert_eq!(to_string(&"hi"), "\"hi\"");
+        assert_eq!(to_string(&Option::<i32>::None), "null");
+        assert_eq!(to_string(&Some(7)), "7");
+    }
+
+    #[test]
+    fn nonfinite_floats_become_null() {
+        assert_eq!(to_string(&f64::NAN), "null");
+        assert_eq!(to_string(&f64::INFINITY), "null");
+        assert_eq!(to_string(&f64::NEG_INFINITY), "null");
+    }
+
+    #[test]
+    fn string_escaping() {
+        assert_eq!(to_string(&"a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(to_string(&'\u{1}'), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn structs_and_vecs() {
+        let p = Point {
+            x: 1.0,
+            y: -0.5,
+            label: "σ'".into(),
+        };
+        assert_eq!(to_string(&p), "{\"x\":1,\"y\":-0.5,\"label\":\"σ'\"}");
+        assert_eq!(to_string(&vec![1, 2, 3]), "[1,2,3]");
+        assert_eq!(to_string(&(1, "a")), "[1,\"a\"]");
+    }
+
+    #[test]
+    fn enums() {
+        assert_eq!(to_string(&Shape::Unit), "\"Unit\"");
+        assert_eq!(to_string(&Shape::Newtype(2.0)), "{\"Newtype\":2}");
+        assert_eq!(to_string(&Shape::Tuple(1, 2)), "{\"Tuple\":[1,2]}");
+        assert_eq!(to_string(&Shape::Struct { w: 9 }), "{\"Struct\":{\"w\":9}}");
+    }
+
+    #[test]
+    fn maps_with_non_string_keys() {
+        let mut m = BTreeMap::new();
+        m.insert(1u32, "one");
+        m.insert(2u32, "two");
+        assert_eq!(to_string(&m), "{\"1\":\"one\",\"2\":\"two\"}");
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let err = parse(&deep).expect_err("100,000 levels must be refused");
+        assert!(err.contains(&format!("byte {MAX_DEPTH}")), "{err}");
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let past_cap = format!("{{\"a\":{at_cap}}}");
+        assert!(parse(&past_cap).is_err());
+    }
 
     #[test]
     fn long_strings_round_trip() {

@@ -241,6 +241,13 @@ echo "$serve_metrics" | grep -q 'xmodel_serve_shed' \
   || { echo "serve /metrics missing xmodel_serve_shed (burst did not shed?)" >&2; exit 1; }
 echo "$serve_metrics" | grep -q 'xmodel_serve_queue_depth' \
   || { echo "serve /metrics missing xmodel_serve_queue_depth" >&2; exit 1; }
+# A body nested far past the JSON parser's depth cap gets a typed 400
+# (serve-load exits 1 on it), not a worker stack overflow: the clean
+# drain below then shows the release daemon survived it.
+deep_body="$(printf '%*s' 60000 '' | tr ' ' '[')"
+deep_reply="$("$sl" --addr "$serve_addr" --post /solve --body "$deep_body" || true)"
+echo "$deep_reply" | grep -q '"status":400' \
+  || { echo "60,000-deep body did not get a 400: ${deep_reply:0:200}" >&2; exit 1; }
 # Graceful drain: POST /quitck, then the process must exit 0 by itself.
 "$sl" --addr "$serve_addr" --post /quitck | grep -q '"status":"draining"'
 wait "$serve_pid" \
