@@ -117,7 +117,7 @@ fn main() -> ExitCode {
         "validate" => cmd_validate(parse_flags(rest)),
         "whatif" => cmd_whatif(parse_flags(rest)),
         "serve" => cmd_serve(parse_flags(rest)),
-        "sim" => cmd_sim(parse_flags(rest)),
+        "sim" => cmd_sim(rest),
         "sweep" => cmd_sweep(parse_flags(rest)),
         "trace-report" => cmd_trace_report(rest),
         "sim-report" => cmd_sim_report(rest),
@@ -593,6 +593,28 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     map
 }
 
+/// A usage error naming every flag in `flags` that `command` does not
+/// read, so a misspelt flag cannot silently run the wrong thing.
+fn reject_unknown_flags(
+    command: &str,
+    flags: &HashMap<String, String>,
+    known: &[&str],
+) -> Result<(), CliError> {
+    let mut unknown: Vec<&str> = flags
+        .keys()
+        .map(String::as_str)
+        .filter(|k| !known.contains(k))
+        .collect();
+    if unknown.is_empty() {
+        return Ok(());
+    }
+    unknown.sort_unstable();
+    Err(CliError::Usage(format!(
+        "{command}: unknown flag(s) --{}",
+        unknown.join(", --")
+    )))
+}
+
 fn get_f64(flags: &HashMap<String, String>, key: &str) -> Result<Option<f64>, String> {
     match flags.get(key) {
         Some(v) => v
@@ -787,7 +809,25 @@ fn cmd_validate(flags: HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_sim(flags: HashMap<String, String>) -> Result<(), CliError> {
+/// Every flag `xmodel sim` reads; anything else is a usage error.
+const SIM_FLAGS: &[&str] = &["workload", "gpu", "warps", "l1", "ir"];
+
+fn cmd_sim(args: &[String]) -> Result<(), CliError> {
+    // `parse_flags` skips an argument that is neither a flag nor a flag's
+    // value; here that is almost always a workload named without
+    // `--workload`, which would otherwise simulate the default.
+    let mut value_allowed = false;
+    for arg in args {
+        let is_flag = arg.starts_with("--");
+        if !is_flag && !value_allowed {
+            return Err(CliError::Usage(format!(
+                "sim: unexpected argument `{arg}` (name a workload with --workload {arg})"
+            )));
+        }
+        value_allowed = is_flag;
+    }
+    let flags = parse_flags(args);
+    reject_unknown_flags("sim", &flags, SIM_FLAGS)?;
     let gpu = gpu_by_name(flags.get("gpu").map(String::as_str).unwrap_or("kepler"))?;
     let w = workload_by_name(
         flags
@@ -931,18 +971,7 @@ const SWEEP_FLAGS: &[&str] = &[
 ];
 
 fn cmd_sweep(flags: HashMap<String, String>) -> Result<(), CliError> {
-    let mut unknown: Vec<&str> = flags
-        .keys()
-        .map(String::as_str)
-        .filter(|k| !SWEEP_FLAGS.contains(k))
-        .collect();
-    if !unknown.is_empty() {
-        unknown.sort_unstable();
-        return Err(CliError::Usage(format!(
-            "sweep: unknown flag(s) --{}",
-            unknown.join(", --")
-        )));
-    }
+    reject_unknown_flags("sweep", &flags, SWEEP_FLAGS)?;
     let n_max = get_f64(&flags, "n-max")?.ok_or_else(|| "--n-max required".to_string())?;
     if !n_max.is_finite() || n_max <= 0.0 {
         return Err(CliError::Usage("--n-max must be positive".to_string()));

@@ -383,6 +383,49 @@ fn sweep_rejects_flags_it_does_not_read() {
     }
 }
 
+/// `sim` rejects what it does not read instead of running the default:
+/// a workload named without `--workload` and misspelt or unknown flags.
+#[test]
+fn sim_rejects_flags_and_arguments_it_does_not_read() {
+    let cases: [(&[&str], &str); 5] = [
+        (&["sim", "bfs", "--gpu", "fermi"], "--workload bfs"),
+        (&["sim", "--gpu", "fermi", "bfs"], "--workload bfs"),
+        (&["sim", "--gpu", "fermi", "--L1", "16"], "--L1"),
+        (&["sim", "--gpu", "fermi", "--warp", "8"], "--warp"),
+        (&["sim", "--gpu", "fermi", "--cycles", "1000"], "--cycles"),
+    ];
+    for (args, named) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_xmodel"))
+            .args(args)
+            .output()
+            .expect("spawn xmodel");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(named), "{args:?}: `{named}` not named: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}: no run on a usage error");
+    }
+    // The global flags are stripped before `sim` sees its arguments.
+    let trace = temp_path("sim-globals.jsonl");
+    let (ok, out, err) = run(&[
+        "sim",
+        "--workload",
+        "nn",
+        "--gpu",
+        "fermi",
+        "--warps",
+        "8",
+        "--fault-spec",
+        "seed=1,spike=0.1x2",
+        "--trace",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(ok, "{err}");
+    assert!(out.contains("nn on GTX570 (8 warps"), "{out}");
+    assert!(err.contains("injected memory faults"), "{err}");
+    assert!(std::fs::metadata(&trace).unwrap().len() > 0);
+    std::fs::remove_file(&trace).ok();
+}
+
 /// `--l1` outside 0–64 KiB is a usage error naming the flag, in every
 /// command that fits locality to it or simulates it — not a cacheless
 /// model, an overflowed byte count, an exabyte cache allocation or an

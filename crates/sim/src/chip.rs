@@ -10,10 +10,14 @@
 
 use crate::config::{SimConfig, SimWorkload};
 use crate::dram::Dram;
-use crate::sm::{Sm, TAG_SM_SHIFT};
+use crate::sm::{Sm, TAG_SM_BITS, TAG_SM_SHIFT};
 use crate::stats::SimStats;
 use std::cell::RefCell;
 use std::rc::Rc;
+
+/// Most SMs one chip holds: shared DRAM tags carry the SM id in
+/// `TAG_SM_BITS` bits, so ids run from 0 to 32,767.
+const MAX_SMS: usize = 1 << TAG_SM_BITS;
 
 /// A multi-SM chip sharing one DRAM channel.
 ///
@@ -49,9 +53,19 @@ impl ChipSim {
     ///
     /// Each SM's own `dram.bytes_per_cycle` is ignored; L1/L2 stages stay
     /// private per SM.
+    ///
+    /// # Panics
+    ///
+    /// With no nodes, more than 32,768 of them (the SM id field of a
+    /// shared DRAM tag), or a non-positive bandwidth.
     pub fn new(nodes: &[(SimConfig, SimWorkload)], chip_bytes_per_cycle: f64, seed: u64) -> Self {
         assert!(!nodes.is_empty(), "need at least one SM");
-        assert!(nodes.len() <= u16::MAX as usize);
+        assert!(
+            nodes.len() <= MAX_SMS,
+            "{} SMs exceed the {}-bit SM id field of shared DRAM tags",
+            nodes.len(),
+            TAG_SM_BITS
+        );
         assert!(chip_bytes_per_cycle > 0.0);
         let latency = nodes.first().map_or(0, |(cfg, _)| cfg.dram.latency);
         let shared = Rc::new(RefCell::new(Dram::new(crate::config::DramConfig {
@@ -93,7 +107,7 @@ impl ChipSim {
             inbox.clear();
         }
         let direct = 1u64 << 63;
-        let sm_mask = ((1u64 << 15) - 1) << TAG_SM_SHIFT;
+        let sm_mask = ((1u64 << TAG_SM_BITS) - 1) << TAG_SM_SHIFT;
         for &tag in &self.route_buf {
             let sm = ((tag & sm_mask) >> TAG_SM_SHIFT) as usize;
             // Strip the SM bits; keep the direct-wake bit.
@@ -234,6 +248,15 @@ mod tests {
         let a = simulate_chip(&cfg(), &wl, 2, 16.0, 5_000, 10_000);
         let b = simulate_chip(&cfg(), &wl, 2, 16.0, 5_000, 10_000);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "SM id field")]
+    fn sm_ids_past_the_tag_field_are_rejected() {
+        // Id 32,768 would set the direct-wake bit and route its fills to
+        // SM 0; the assertion fires before any SM is built.
+        let nodes = vec![(cfg(), stream_wl(1, 10.0)); MAX_SMS + 1];
+        ChipSim::new(&nodes, 8.0, 1);
     }
 
     #[test]

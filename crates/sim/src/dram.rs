@@ -105,6 +105,11 @@ impl Dram {
         }
     }
 
+    /// The earliest pending completion cycle, if any request is in flight.
+    pub fn next_completion(&self) -> Option<u64> {
+        self.pending.peek().map(|&Reverse((t, _))| t)
+    }
+
     /// Requests in flight.
     pub fn in_flight(&self) -> usize {
         self.pending.len()

@@ -1,7 +1,7 @@
 //! # xmodel-sim — a cycle-level multithreaded-SM simulator
 //!
 //! The paper measures its claims on real GPUs; this crate is the
-//! substitute substrate: a deterministic, cycle-stepped simulator of one
+//! substitute substrate: a deterministic, cycle-exact simulator of one
 //! streaming multiprocessor with
 //!
 //! * a **computation system** — `M` warp-ops/cycle of lane capacity, a
@@ -19,6 +19,11 @@
 //! model abstracts away (MSHR exhaustion, issue-port contention, discrete
 //! line granularity) so that model-vs-simulator comparisons are meaningful
 //! validation rather than tautology.
+//!
+//! [`Sm`]'s run loops jump over cycles in which every warp waits on
+//! memory, and its scheduler visits only the warps that can act; the
+//! statistics equal those of stepping every cycle bit for bit (see
+//! [`sm`]). [`IrSm`] and [`ChipSim`] step every cycle.
 //!
 //! ```
 //! use xmodel_sim::prelude::*;

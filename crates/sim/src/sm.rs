@@ -1,4 +1,23 @@
-//! The cycle-stepped SM driver.
+//! The SM driver: cycle-exact, with idle-cycle jumps.
+//!
+//! [`Sm::step`] advances exactly one cycle: completions, the LSU, the
+//! compute scheduler, accounting. The scheduler never scans every warp.
+//! A `Census` keeps one bitset of `Computing` warps, one of warps the
+//! LSU serves (`IssuePending | Stalled`), and a count per state. Both
+//! phases visit only set bits, in the round-robin order
+//! `(rr + off) % n` gives; the accounting reads the counts.
+//!
+//! The run loops ([`Sm::run`], [`Sm::run_watched`],
+//! [`Sm::run_until_requests`]) also skip cycles in which nothing can
+//! happen. While every warp is `Waiting`, a cycle changes only the
+//! round-robin pointers and the idle counters, until the first of these
+//! boundaries: a DRAM, L2-channel or L1-hit completion, a recovery
+//! sweep under fault injection, a trajectory or trace sample, a watchdog
+//! check, or the end of the phase. The loop jumps straight there and
+//! applies the skipped cycles' effect in one step, so every statistic,
+//! trace frame and fault draw matches the stepped run bit for bit.
+//! Fault draws are made only in `Dram::submit`, which runs only inside a
+//! stepped cycle.
 
 use crate::cache::{Access, L1Cache, SimpleCache};
 use crate::config::{SimConfig, SimWorkload};
@@ -21,6 +40,9 @@ const TAG_DIRECT: u64 = 1 << 63;
 /// Bit offset where a chip-level simulation stores the SM id in shared
 /// DRAM tags (see [`crate::chip`]).
 pub(crate) const TAG_SM_SHIFT: u32 = 48;
+
+/// Width of the SM id field: bits `TAG_SM_SHIFT..63`, below [`TAG_DIRECT`].
+pub(crate) const TAG_SM_BITS: u32 = 63 - TAG_SM_SHIFT;
 
 /// Cycle period of `sim.snapshot` trace events when tracing is live and
 /// no explicit `trajectory_interval` is set.
@@ -65,6 +87,121 @@ enum WarpState {
     Stalled,
 }
 
+/// Index of `Waiting` in [`Census::counts`].
+const WAITING: usize = 2;
+
+impl WarpState {
+    /// Slot in [`Census::counts`]: computing, queued, waiting, stalled.
+    fn slot(self) -> usize {
+        match self {
+            WarpState::Computing { .. } => 0,
+            WarpState::IssuePending => 1,
+            WarpState::Waiting => WAITING,
+            WarpState::Stalled => 3,
+        }
+    }
+}
+
+/// What the scheduler reads instead of scanning every warp: a bitset of
+/// `Computing` warps for the CS phase, a bitset of the warps the LSU
+/// serves (`IssuePending | Stalled`), and the number of warps per state.
+struct Census {
+    computing: Vec<u64>,
+    issuing: Vec<u64>,
+    counts: [u32; 4],
+}
+
+impl Census {
+    fn new(states: impl ExactSizeIterator<Item = WarpState>) -> Self {
+        let words = states.len().div_ceil(64);
+        let mut census = Census {
+            computing: vec![0; words],
+            issuing: vec![0; words],
+            counts: [0; 4],
+        };
+        for (wi, state) in states.enumerate() {
+            census.counts[state.slot()] += 1;
+            census.mark(wi, state);
+        }
+        census
+    }
+
+    /// Record warp `wi` moving from `from` to `to`.
+    fn moved(&mut self, wi: usize, from: WarpState, to: WarpState) {
+        self.counts[from.slot()] -= 1;
+        self.counts[to.slot()] += 1;
+        self.mark(wi, to);
+    }
+
+    fn mark(&mut self, wi: usize, state: WarpState) {
+        let (word, bit) = (wi / 64, 1u64 << (wi % 64));
+        let (computing, issuing) = match state {
+            WarpState::Computing { .. } => (bit, 0),
+            WarpState::IssuePending | WarpState::Stalled => (0, bit),
+            WarpState::Waiting => (0, 0),
+        };
+        self.computing[word] = self.computing[word] & !bit | computing;
+        self.issuing[word] = self.issuing[word] & !bit | issuing;
+    }
+}
+
+/// Visits the set bits of a warp bitset in the circular order
+/// `start, start + 1, …, n - 1, 0, …, start - 1` that `(start + off) % n`
+/// gives. It reads the live bitset on every call: serving a warp may
+/// change only that warp's bit, and the ring has already passed it.
+struct Ring {
+    start: usize,
+    n: usize,
+    pos: usize,
+    wrapped: bool,
+}
+
+impl Ring {
+    fn new(start: usize, n: usize) -> Self {
+        Ring {
+            start,
+            n,
+            pos: start,
+            wrapped: false,
+        }
+    }
+
+    fn next(&mut self, bits: &[u64]) -> Option<usize> {
+        loop {
+            let end = if self.wrapped { self.start } else { self.n };
+            if let Some(wi) = first_set(bits, self.pos, end) {
+                self.pos = wi + 1;
+                return Some(wi);
+            }
+            if self.wrapped {
+                return None;
+            }
+            self.wrapped = true;
+            self.pos = 0;
+        }
+    }
+}
+
+/// The lowest set bit of `bits` in `from..end`.
+fn first_set(bits: &[u64], from: usize, end: usize) -> Option<usize> {
+    if from >= end {
+        return None;
+    }
+    let mut word = from / 64;
+    let mut live = bits[word] & (u64::MAX << (from % 64));
+    loop {
+        if live != 0 {
+            let wi = word * 64 + live.trailing_zeros() as usize;
+            return (wi < end).then_some(wi);
+        }
+        word += 1;
+        if word * 64 >= end {
+            return None;
+        }
+        live = bits[word];
+    }
+}
+
 struct Warp {
     state: WarpState,
     pending_addr: u64,
@@ -81,6 +218,7 @@ pub struct Sm {
     l2: Option<(SimpleCache, Dram)>,
     dram: DramPort,
     hit_queue: BinaryHeap<Reverse<(u64, u32)>>,
+    census: Census,
     cycle: u64,
     rr: usize,
     lsu_rr: usize,
@@ -128,7 +266,7 @@ impl Sm {
         assert!(wl.warps >= 1, "need at least one warp");
         assert!(wl.ilp > 0.0 && wl.ops_per_request > 0.0);
         let in_ms = (ms_fraction * wl.warps as f64).round() as u32;
-        let warps = (0..wl.warps)
+        let warps: Vec<Warp> = (0..wl.warps)
             .map(|w| {
                 let mut rng =
                     SmallRng::seed_from_u64(seed ^ (w as u64).wrapping_mul(0xA24B_AED4_963E_E407));
@@ -150,6 +288,7 @@ impl Sm {
             })
             .collect();
         Self {
+            census: Census::new(warps.iter().map(|w| w.state)),
             warps,
             l1: cfg.l1.map(L1Cache::new),
             l2: cfg.l2.map(|l2| {
@@ -276,21 +415,73 @@ impl Sm {
         }
     }
 
+    /// Move warp `wi` to `state`: the one place a warp changes state, so
+    /// the census always matches the warps.
+    fn set_state(&mut self, wi: usize, state: WarpState) {
+        let from = std::mem::replace(&mut self.warps[wi].state, state);
+        self.census.moved(wi, from, state);
+    }
+
     fn wake(&mut self, warp: u32) {
-        let w = &mut self.warps[warp as usize];
-        if w.state != WarpState::Waiting {
+        let wi = warp as usize;
+        if self.warps[wi].state != WarpState::Waiting {
             // A duplicated or stale completion under fault injection:
             // absorb it rather than corrupting the warp's state machine.
             self.stats.spurious_wakes += 1;
             return;
         }
-        let ops = sample_ops(self.wl.ops_per_request, &mut w.rng);
-        w.state = WarpState::Computing { ops_left: ops };
+        let ops = sample_ops(self.wl.ops_per_request, &mut self.warps[wi].rng);
+        self.set_state(wi, WarpState::Computing { ops_left: ops });
+        let w = &mut self.warps[wi];
         w.pending_addr = w.stream.next_addr();
         if self.measuring {
             self.stats.requests_completed += 1;
             self.stats.bytes_delivered += self.cfg.request_bytes.round().max(1.0) as u64;
         }
+    }
+
+    /// Hand warp `wi`'s pending request to the memory system: bypassing
+    /// warps go straight below L1; the rest access L1, where an MSHR-full
+    /// rejection leaves the warp `Stalled` to retry.
+    fn issue(&mut self, now: u64, wi: usize) {
+        let addr = self.warps[wi].pending_addr;
+        if self.bypasses(wi as u32) {
+            self.submit_mem(now, addr, TAG_DIRECT | wi as u64);
+            self.set_state(wi, WarpState::Waiting);
+            return;
+        }
+        // xlint: allow(no-panic-in-lib, state-machine invariant: Cached access is only emitted when an L1 is configured)
+        let l1 = self.l1.as_mut().expect("cached warp without L1");
+        let state = match l1.access(addr, wi as u32) {
+            Access::Hit => {
+                self.hit_queue
+                    .push(Reverse((now + l1_hit_latency(&self.cfg), wi as u32)));
+                if self.measuring {
+                    self.stats.l1_hits += 1;
+                }
+                WarpState::Waiting
+            }
+            Access::MissAllocated { mshr } => {
+                self.submit_mem(now, addr, mshr as u64);
+                if self.measuring {
+                    self.stats.l1_misses += 1;
+                }
+                WarpState::Waiting
+            }
+            Access::MissMerged { .. } => {
+                if self.measuring {
+                    self.stats.l1_merges += 1;
+                }
+                WarpState::Waiting
+            }
+            Access::MshrFull => {
+                if self.measuring {
+                    self.stats.mshr_stalls += 1;
+                }
+                WarpState::Stalled
+            }
+        };
+        self.set_state(wi, state);
     }
 
     /// Advance one cycle (private-DRAM configuration).
@@ -350,56 +541,12 @@ impl Sm {
 
         // 2. LSU: issue up to lsu_per_cycle pending requests, round-robin.
         let n = self.warps.len();
-        let mut issued = 0;
-        for off in 0..n {
-            if issued >= self.cfg.lsu_per_cycle {
+        let mut ring = Ring::new(self.lsu_rr, n);
+        for _ in 0..self.cfg.lsu_per_cycle {
+            let Some(wi) = ring.next(&self.census.issuing) else {
                 break;
-            }
-            let wi = (self.lsu_rr + off) % n;
-            if !matches!(
-                self.warps[wi].state,
-                WarpState::IssuePending | WarpState::Stalled
-            ) {
-                continue;
-            }
-            issued += 1;
-            let addr = self.warps[wi].pending_addr;
-            if self.bypasses(wi as u32) {
-                self.submit_mem(now, addr, TAG_DIRECT | wi as u64);
-                self.warps[wi].state = WarpState::Waiting;
-            } else {
-                // xlint: allow(no-panic-in-lib, state-machine invariant: Cached access is only emitted when an L1 is configured)
-                let l1 = self.l1.as_mut().expect("cached warp without L1");
-                match l1.access(addr, wi as u32) {
-                    Access::Hit => {
-                        self.hit_queue
-                            .push(Reverse((now + l1_hit_latency(&self.cfg), wi as u32)));
-                        self.warps[wi].state = WarpState::Waiting;
-                        if self.measuring {
-                            self.stats.l1_hits += 1;
-                        }
-                    }
-                    Access::MissAllocated { mshr } => {
-                        self.submit_mem(now, addr, mshr as u64);
-                        self.warps[wi].state = WarpState::Waiting;
-                        if self.measuring {
-                            self.stats.l1_misses += 1;
-                        }
-                    }
-                    Access::MissMerged { .. } => {
-                        self.warps[wi].state = WarpState::Waiting;
-                        if self.measuring {
-                            self.stats.l1_merges += 1;
-                        }
-                    }
-                    Access::MshrFull => {
-                        self.warps[wi].state = WarpState::Stalled;
-                        if self.measuring {
-                            self.stats.mshr_stalls += 1;
-                        }
-                    }
-                }
-            }
+            };
+            self.issue(now, wi);
         }
         self.lsu_rr = (self.lsu_rr + 1) % n;
 
@@ -408,22 +555,25 @@ impl Sm {
         let mut credit = self.cfg.lanes;
         let mut selected = 0;
         let mut retired = 0.0;
-        for off in 0..n {
-            if credit <= 1e-12 || selected >= self.cfg.issue_width {
+        let mut ring = Ring::new(self.rr, n);
+        while credit > 1e-12 && selected < self.cfg.issue_width {
+            let Some(wi) = ring.next(&self.census.computing) else {
                 break;
-            }
-            let wi = (self.rr + off) % n;
+            };
             if let WarpState::Computing { ops_left } = self.warps[wi].state {
                 let take = self.wl.ilp.min(ops_left).min(credit);
                 let left = ops_left - take;
                 credit -= take;
                 retired += take;
                 selected += 1;
-                self.warps[wi].state = if left <= 1e-9 {
-                    WarpState::IssuePending
-                } else {
-                    WarpState::Computing { ops_left: left }
-                };
+                self.set_state(
+                    wi,
+                    if left <= 1e-9 {
+                        WarpState::IssuePending
+                    } else {
+                        WarpState::Computing { ops_left: left }
+                    },
+                );
             }
         }
         self.rr = (self.rr + 1) % n;
@@ -432,15 +582,7 @@ impl Sm {
         if self.measuring {
             self.stats.cycles += 1;
             self.stats.ops_retired += retired;
-            let (mut computing, mut queued, mut waiting, mut stalled) = (0u32, 0u32, 0u32, 0u32);
-            for w in &self.warps {
-                match w.state {
-                    WarpState::Computing { .. } => computing += 1,
-                    WarpState::IssuePending => queued += 1,
-                    WarpState::Waiting => waiting += 1,
-                    WarpState::Stalled => stalled += 1,
-                }
-            }
+            let [computing, queued, waiting, stalled] = self.census.counts;
             let k = (queued + waiting + stalled) as usize;
             self.stats.sum_k += k as f64;
             self.stats.sum_x += (n - k) as f64;
@@ -507,6 +649,71 @@ impl Sm {
         self.measuring = on;
     }
 
+    /// How many cycles from now can be skipped without stepping, never
+    /// past `limit`: 0 unless every warp is `Waiting` on a private DRAM
+    /// channel. Such a cycle issues nothing and retires nothing, so the
+    /// span runs up to the first cycle that must be stepped: a DRAM,
+    /// L2-channel or L1-hit completion, a recovery sweep, or (while
+    /// measuring) a trajectory or trace sample.
+    fn idle_span(&self, limit: u64) -> u64 {
+        let DramPort::Own(dram) = &self.dram else {
+            return 0;
+        };
+        let n = self.warps.len() as u64;
+        if u64::from(self.census.counts[WAITING]) != n {
+            return 0;
+        }
+        let now = self.cycle;
+        let next = |period: u64| now.checked_next_multiple_of(period).unwrap_or(u64::MAX);
+        let completions = [
+            dram.next_completion(),
+            self.l2
+                .as_ref()
+                .and_then(|(_, channel)| channel.next_completion()),
+            self.hit_queue.peek().map(|&Reverse((t, _))| t),
+        ];
+        let mut until = completions.into_iter().flatten().fold(limit, u64::min);
+        if self.fault_active {
+            until = until.min(next(RECOVERY_SWEEP));
+        }
+        if self.measuring {
+            if self.trajectory_interval > 0 {
+                until = until.min(next(self.trajectory_interval));
+            } else if xmodel_obs::enabled() {
+                until = until.min(next(SNAPSHOT_INTERVAL));
+            }
+        }
+        until.saturating_sub(now)
+    }
+
+    /// Apply `span` idle cycles at once: what stepping them would do,
+    /// since each only turns the round-robin pointers and, while
+    /// measuring, counts a cycle with all `n` warps in MS (it retires
+    /// 0.0 ops and adds 0.0 to `sum_x`). `sum_k` holds whole numbers, so
+    /// one addition of `n · span` equals `span` additions of `n` while
+    /// it stays below 2^53, some 7·10^13 cycles at 128 warps.
+    fn skip_idle(&mut self, span: u64) {
+        let n = self.warps.len();
+        let turn = (span % n as u64) as usize;
+        self.rr = (self.rr + turn) % n;
+        self.lsu_rr = (self.lsu_rr + turn) % n;
+        if self.measuring {
+            self.stats.cycles += span;
+            self.stats.sum_k += (span * n as u64) as f64;
+            self.stats.k_histogram[n] += span;
+        }
+        self.cycle += span;
+    }
+
+    /// The run loops' one move toward cycle `limit` (> the current
+    /// cycle): jump an idle span if one starts now, else step one cycle.
+    fn advance(&mut self, limit: u64) {
+        match self.idle_span(limit) {
+            0 => self.step(),
+            span => self.skip_idle(span),
+        }
+    }
+
     /// Run `warmup` unmeasured cycles then `measure` measured ones.
     // xlint: determinism-root
     pub fn run(&mut self, warmup: u64, measure: u64) -> &SimStats {
@@ -514,15 +721,17 @@ impl Sm {
         self.measuring = false;
         {
             let _warm = xmodel_obs::span!(xmodel_obs::names::span::SIM_WARMUP);
-            for _ in 0..warmup {
-                self.step();
+            let end = self.cycle + warmup;
+            while self.cycle < end {
+                self.advance(end);
             }
         }
         self.measuring = true;
         {
             let _meas = xmodel_obs::span!(xmodel_obs::names::span::SIM_MEASURE);
-            for _ in 0..measure {
-                self.step();
+            let end = self.cycle + measure;
+            while self.cycle < end {
+                self.advance(end);
             }
         }
         &self.stats
@@ -543,16 +752,23 @@ impl Sm {
         let _span = xmodel_obs::span!(xmodel_obs::names::span::SIM_RUN);
         // xlint: allow(nondeterminism-in-result-path, watchdog wall-clock budget; overruns abort with a typed error and never alter stats)
         let started = std::time::Instant::now();
+        let start = self.cycle;
         let total = warmup + measure;
         let mut last_completed = self.stats.requests_completed;
         let mut last_progress = 0u64;
         self.measuring = false;
-        for i in 0..total {
+        while self.cycle - start < total {
+            let i = self.cycle - start;
             if i == warmup {
                 self.measuring = true;
                 last_progress = i;
             }
-            self.step();
+            let phase_end = if i < warmup { warmup } else { total };
+            // Stop just past the next check cycle, so the check below
+            // reads the state it would after stepping that cycle.
+            let check = i.next_multiple_of(WATCHDOG_STRIDE);
+            self.advance(start + phase_end.min(check + 1));
+            let i = self.cycle - start - 1;
             if i % WATCHDOG_STRIDE == 0 {
                 if self.stats.requests_completed != last_completed {
                     last_completed = self.stats.requests_completed;
@@ -571,11 +787,12 @@ impl Sm {
     pub fn run_until_requests(&mut self, requests: u64, max_cycles: u64) -> Option<u64> {
         self.measuring = true;
         let start = self.cycle;
+        let end = start.saturating_add(max_cycles);
         while self.stats.requests_completed < requests {
-            if self.cycle - start >= max_cycles {
+            if self.cycle >= end {
                 return None;
             }
-            self.step();
+            self.advance(end);
         }
         Some(self.cycle - start)
     }
@@ -960,10 +1177,19 @@ mod tests {
             ..Default::default()
         };
         let err = sm.run_watched(0, 10_000_000, &watchdog).unwrap_err();
-        assert!(
-            matches!(err, SimError::Watchdog { .. }),
-            "expected watchdog, got {err:?}"
+        assert_eq!(
+            err,
+            SimError::Watchdog {
+                reason: "no forward progress",
+                cycles: 20_481,
+                requests_completed: 0,
+            }
         );
+        // The stepped loop stopped on the same cycle, after the same
+        // recovery sweeps, with every warp's request still outstanding.
+        assert_eq!(sm.cycle(), 20_481);
+        assert_eq!(sm.stats().lost_recovered, 80);
+        assert_eq!(sm.outstanding_requests(), 8);
     }
 
     #[test]

@@ -82,6 +82,16 @@ grep -q '"p95_us"' "$trace"
 ./target/release/xmodel profile "$trace" --folded "$folded" > /dev/null
 test -s "$folded"
 
+echo "=== simtrace frames match the committed seed ==="
+# The simulator is deterministic: the snapshot and probe frames of the
+# run above must equal SIMTRACE_seed.jsonl's byte for byte, once the
+# wall-clock stamps are stripped.
+frames() {
+  grep -E '"kind":"sim\.(snapshot|probe_header|probe)"' "$1" | sed -E 's/"t_us":[0-9]+,//'
+}
+cmp <(frames "$trace") <(frames SIMTRACE_seed.jsonl) \
+  || { echo "sim frames differ from SIMTRACE_seed.jsonl" >&2; exit 1; }
+
 echo "=== trace-diff smoke (regression attribution) ==="
 # Self-diff: identical traces ⇒ no significant differences, exit 0.
 ./target/release/xmodel trace-diff "$trace" "$trace" > /dev/null
