@@ -711,6 +711,13 @@ fn build_model(flags: &HashMap<String, String>) -> Result<(XModel, Option<UnitCo
     let workload = WorkloadParams::try_new(z, e, n).map_err(CliError::model)?;
 
     let model = match get_f64(flags, "l1")? {
+        // 0 means no cache; sizes above Table II's 64 KiB stay legal
+        // here, since the analytic model is not tied to a preset's L1.
+        Some(kib) if !(kib.is_finite() && kib >= 0.0) => {
+            return Err(CliError::Usage(format!(
+                "--l1 must be an L1 size of at least 0 KiB, got `{kib}`"
+            )))
+        }
         Some(kib) if kib > 0.0 => {
             let alpha = get_f64(flags, "alpha")?.unwrap_or(3.0);
             let beta = get_f64(flags, "beta")?.unwrap_or(2048.0);
@@ -950,6 +957,9 @@ fn parse_warps(value: &str, max_warps: u32) -> Result<u32, String> {
     }
 }
 
+/// Most rows `xmodel sweep` writes: 2^20 rows is about 130 MB of JSON.
+const SWEEP_MAX_POINTS: usize = 1 << 20;
+
 /// Every flag `xmodel sweep` reads; anything else is a usage error.
 const SWEEP_FLAGS: &[&str] = &[
     "n-max",
@@ -980,15 +990,20 @@ fn cmd_sweep(flags: HashMap<String, String>) -> Result<(), CliError> {
         Some(v) => v.parse::<usize>().map_err(|e| format!("--points: {e}"))?,
         None => 256,
     };
-    if points == 0 {
-        return Err(CliError::Usage("--points must be at least 1".to_string()));
+    if !(1..=SWEEP_MAX_POINTS).contains(&points) {
+        return Err(CliError::Usage(format!(
+            "--points must be from 1 to {SWEEP_MAX_POINTS}"
+        )));
     }
     let samples = match flags.get("samples") {
         Some(v) => v.parse::<usize>().map_err(|e| format!("--samples: {e}"))?,
         None => xmodel::core::solver::DEFAULT_SAMPLES,
     };
-    if samples < 2 {
-        return Err(CliError::Usage("--samples must be at least 2".to_string()));
+    if !(2..=xmodel::core::solver::MAX_SAMPLES).contains(&samples) {
+        return Err(CliError::Usage(format!(
+            "--samples must be from 2 to {}",
+            xmodel::core::solver::MAX_SAMPLES
+        )));
     }
     // Flag beats XMODEL_JOBS beats the detected core count.
     let jobs = match flags.get("jobs") {
@@ -1186,8 +1201,9 @@ fn cmd_serve(flags: HashMap<String, String>) -> Result<(), CliError> {
         cache_shards: get_u64(&flags, "shards")?
             .map_or(defaults.cache_shards, |v| v.max(1) as usize),
         io_timeout_ms: get_u64(&flags, "io-timeout")?.map_or(defaults.io_timeout_ms, |v| v.max(1)),
-        samples: get_u64(&flags, "samples")?
-            .map_or(defaults.samples, |v| v.clamp(64, 65_536) as usize),
+        samples: get_u64(&flags, "samples")?.map_or(defaults.samples, |v| {
+            v.clamp(64, xmodel::core::solver::MAX_SAMPLES as u64) as usize
+        }),
     };
     // The serve.* counters/gauges/histograms are silently dropped when
     // no sink is installed; a daemon must always be scrapeable.

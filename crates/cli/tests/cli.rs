@@ -483,6 +483,62 @@ fn sim_warps_out_of_range_is_a_usage_error() {
     assert!(out.contains("(48 warps"), "{out}");
 }
 
+/// `--l1` on the analytic model (`draw`, `sweep`) is a size from 0 KiB
+/// up: a negative or non-finite value is a usage error naming the flag,
+/// not a cacheless model or a model error from an infinite cache.
+#[test]
+fn model_l1_negative_or_non_finite_is_a_usage_error() {
+    let commands: [&[&str]; 2] = [
+        &["draw", "--gpu", "fermi", "--z", "16", "--n", "32"],
+        &["sweep", "--gpu", "fermi", "--z", "16", "--n-max", "64"],
+    ];
+    for command in commands {
+        for l1 in ["-16", "NaN", "inf"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_xmodel"))
+                .args(command)
+                .args(["--l1", l1])
+                .output()
+                .expect("spawn xmodel");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{command:?} --l1 {l1}: {err}");
+            assert!(err.contains("--l1"), "{command:?} --l1 {l1}: {err}");
+            assert!(out.stdout.is_empty(), "{command:?} --l1 {l1}: no output");
+        }
+    }
+}
+
+/// `sweep` caps `--points` at 2^20 rows and `--samples` at
+/// `solver::MAX_SAMPLES`, so a huge value is a usage error instead of an
+/// aborted allocation, a capacity-overflow panic or a hang. Each run is
+/// held to 2 GB of address space and 20 s of CPU, so a regression fails
+/// here rather than taking the host's memory.
+#[test]
+fn sweep_rejects_huge_points_and_samples() {
+    let cases = [
+        ("--points", "100000000000"),
+        ("--points", "18446744073709551615"),
+        ("--samples", "1000000000000"),
+        ("--samples", "18446744073709551615"),
+    ];
+    for (flag, value) in cases {
+        let out = Command::new("sh")
+            .args([
+                "-c",
+                r#"ulimit -v 2000000 && ulimit -t 20 && exec "$@""#,
+                "sh",
+            ])
+            .arg(env!("CARGO_BIN_EXE_xmodel"))
+            .args(["sweep", "--gpu", "fermi", "--z", "16", "--n-max", "64"])
+            .args([flag, value])
+            .output()
+            .expect("spawn xmodel");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {err}");
+        assert!(err.contains(flag), "{flag} {value}: {err}");
+        assert!(out.stdout.is_empty(), "{flag} {value}: no output");
+    }
+}
+
 #[test]
 fn l1_range_ends_are_accepted() {
     for l1 in ["0", "64"] {

@@ -5,23 +5,17 @@
 //! the ~2048 dense-scan samples plus every bisection step, for every
 //! solve — yet `f(k)` depends only on `(R, L, S$, L$, α, β)`, never on
 //! `n` or `Z`, so one tabulation amortizes across an entire sweep. A
-//! [`CurveTable`] samples `f` once per curve (through the lane-batched
-//! [`crate::batch`] kernels when built from a model) and [`solve_fast`]
-//! answers each solve from the table with a layered engine:
+//! [`CurveTable`] samples `f` once per curve and [`solve_fast`] answers
+//! each solve from the table with a three-layer engine:
 //!
-//! * **USL screen** — a table whose sampled curve is monotone
-//!   non-decreasing (a non-retrograde Gunther-USL shape, as every Eq. (2)
-//!   roofline is) crosses the non-increasing demand `ĝ(n−k)` at most
-//!   once, so the engine binary-searches the single sign transition and
-//!   proves the flanks uniform instead of scanning;
-//! * **span descent** — otherwise the engine recursively screens
-//!   dense-sample spans with O(1) min/max/margin range queries over a
-//!   block-indexed sparse table: a span whose bracketed `f(k) − ĝ(n−k)`
-//!   range excludes zero cannot contain a root and is skipped wholesale;
-//! * **refine** — surviving leaf spans evaluate eight dense samples per
-//!   loop body through the batched demand kernel; each sample uses the
-//!   interpolated `f̃(k)` and consults the exact curve only where
-//!   `|f̃(k) − ĝ(n−k)|` falls within the tabulated interpolation margin;
+//! * **span descent** — the engine recursively screens dense-sample
+//!   spans with O(1) min/max/margin range queries over a block-indexed
+//!   sparse table: a span whose bracketed `f(k) − ĝ(n−k)` range excludes
+//!   zero cannot contain a root and is skipped wholesale;
+//! * **refine** — surviving leaf spans are classified sample by sample;
+//!   each sample uses the interpolated `f̃(k)` and consults the exact
+//!   curve only where `|f̃(k) − ĝ(n−k)|` falls within the tabulated
+//!   interpolation margin;
 //! * **screened bisection** — brackets are polished between the same
 //!   dense-grid endpoints the reference would use, with each midpoint's
 //!   *sign* decided from the table whenever the margin allows and from
@@ -31,18 +25,17 @@
 //!
 //! Every layer preserves one invariant: the sign class the engine
 //! assigns to a dense sample (or proves for a whole span) equals the
-//! class the reference computes exactly, so whatever mix of layers runs,
-//! the emitted brackets, bisections and intersection points are the ones
-//! the reference emits — pinned bitwise by the parity suites in
-//! `tests/fastpath.rs`. Non-finite samples mark their intervals
-//! *unsound* (infinite margin): those are never skipped and always
-//! evaluated exactly, preserving the reference's NaN-hole behaviour.
+//! class the reference computes exactly, so the emitted brackets,
+//! bisections and intersection points are the ones the reference emits
+//! — pinned bitwise by the parity suites in `tests/fastpath.rs`.
+//! Non-finite samples mark their intervals *unsound* (infinite margin):
+//! those are never skipped and always evaluated exactly, preserving the
+//! reference's NaN-hole behaviour.
 //!
 //! [`SolveCache`] wraps a table with staleness tracking for use inside
 //! sweeps, and [`reference_stats`] wraps the exact solver with the same
 //! evaluation counters for head-to-head comparisons.
 
-use crate::batch::{DemandKernel, SupplyKernel, LANES};
 use crate::cache::CacheParams;
 use crate::model::XModel;
 use crate::solver::{self, Equilibria, Intersection};
@@ -63,14 +56,6 @@ const INDEX_BLOCK: usize = 32;
 /// Dense-sample span width at which descent stops subdividing and
 /// refines sample-by-sample.
 const REFINE_LEAF: usize = 32;
-
-/// Span width at which uniformity proofs fall back to per-sample
-/// classification instead of subdividing further.
-const PROVE_LEAF: usize = 8;
-
-/// Maximum screening queries one USL attempt may spend on uniformity
-/// proofs before giving up and falling back to the span descent.
-const PROVE_BUDGET: u32 = 256;
 
 /// The parameters a [`CurveTable`] is keyed on: everything that shapes
 /// the supply curve `f(k)` — and nothing that does not (`n`, `Z`, `E`
@@ -94,19 +79,6 @@ impl CurveKey {
             cache: model.cache,
         }
     }
-}
-
-/// A maximal run of table intervals over which the sampled curve is
-/// monotone (non-decreasing or non-increasing). Runs of non-finite
-/// samples form their own (unsound) segments.
-#[derive(Debug, Clone, Copy)]
-pub struct Segment {
-    /// First interval index of the run.
-    pub start: usize,
-    /// One past the last interval index of the run.
-    pub end: usize,
-    /// `true` when the samples are non-decreasing over the run.
-    pub rising: bool,
 }
 
 /// One [`SpanIndex`] summary: sample min/max and worst interval margin.
@@ -189,9 +161,8 @@ impl SpanIndex {
 }
 
 /// Piecewise-linear tabulation of one supply curve over `[0, k_max]`,
-/// with monotone-segment metadata, sound interpolation-error margins, a
-/// block-indexed sparse table for O(1) span queries, and the USL
-/// single-crossing screen.
+/// with sound interpolation-error margins and a block-indexed sparse
+/// table for O(1) span queries.
 #[derive(Debug, Clone)]
 pub struct CurveTable {
     /// `None` for tables built from raw closures via
@@ -205,10 +176,7 @@ pub struct CurveTable {
     /// Unsound intervals need no separate index: any [`SpanIndex`] block
     /// touching one reports an infinite margin.
     margins: Vec<f64>,
-    segments: Vec<Segment>,
     span_index: SpanIndex,
-    /// The USL screen's gate; see [`CurveTable::usl_single_crossing`].
-    single_crossing: bool,
     build_evals: u64,
 }
 
@@ -224,9 +192,9 @@ impl CurveTable {
     /// screening margins to be sound; [`DEFAULT_RESOLUTION`] does so for
     /// the model's Eq. (2)/(5) curves over any practical domain.
     pub fn build_with(model: &XModel, k_max: f64, resolution: usize) -> Self {
-        Self::from_kernel(
+        Self::from_curve(
             Some(CurveKey::of(model)),
-            &SupplyKernel::of(model),
+            &|k| model.fk(k),
             k_max,
             resolution,
         )
@@ -240,6 +208,9 @@ impl CurveTable {
         Self::from_curve(None, f, k_max, resolution)
     }
 
+    /// Sample `curve` at the `resolution + 1` grid points, probe each
+    /// interval at its two third-points, and derive the margins and the
+    /// span index from them.
     fn from_curve(
         key: Option<CurveKey>,
         curve: &dyn Fn(f64) -> f64,
@@ -250,81 +221,13 @@ impl CurveTable {
         assert!(resolution >= 16, "need at least 16 table intervals");
         let step = k_max / resolution as f64;
         let values: Vec<f64> = (0..=resolution).map(|i| curve(step * i as f64)).collect();
-        // Two third-point probes per interval, in the same `[p1, p2]`
-        // interleaving (and the exact f64 expressions) as the batched
-        // builder below.
-        let mut probes = Vec::with_capacity(2 * resolution);
-        for i in 0..resolution {
-            let a = step * i as f64;
-            probes.push(curve(a + step / 3.0));
-            probes.push(curve(a + 2.0 * step / 3.0));
-        }
-        let evals = (3 * resolution + 1) as u64;
-        Self::finish_build(key, k_max, step, values, probes, evals, 0)
-    }
-
-    /// Batched tabulation through the lane-friendly [`SupplyKernel`]:
-    /// identical grid, probe points and margins as [`Self::from_curve`]
-    /// (the kernel is bit-identical to the model facade), but the
-    /// `3·resolution + 1` evaluations run eight per loop body.
-    fn from_kernel(
-        key: Option<CurveKey>,
-        kernel: &SupplyKernel,
-        k_max: f64,
-        resolution: usize,
-    ) -> Self {
-        assert!(k_max.is_finite() && k_max > 0.0, "k_max must be positive");
-        assert!(resolution >= 16, "need at least 16 table intervals");
-        let step = k_max / resolution as f64;
-        // `a + step / 3.0` and `a + 2.0 * step / 3.0` with the divisions
-        // hoisted: same f64 expressions, so same bits as the scalar path.
-        let third = step / 3.0;
-        let two_thirds = 2.0 * step / 3.0;
-        let mut ks: Vec<f64> = Vec::with_capacity(3 * resolution + 1);
-        ks.extend((0..=resolution).map(|i| step * i as f64));
-        for i in 0..resolution {
-            let a = step * i as f64;
-            ks.push(a + third);
-            ks.push(a + two_thirds);
-        }
-        let mut out = vec![0.0f64; ks.len()];
-        let mut batch_bodies = 0u64;
-        let mut i = 0usize;
-        while i + LANES <= ks.len() {
-            let mut lanes = [0.0f64; LANES];
-            lanes.copy_from_slice(&ks[i..i + LANES]);
-            let fs = kernel.eval8(&lanes);
-            out[i..i + LANES].copy_from_slice(&fs);
-            batch_bodies += 1;
-            i += LANES;
-        }
-        while i < ks.len() {
-            out[i] = kernel.eval(ks[i]);
-            i += 1;
-        }
-        let probes = out.split_off(resolution + 1);
-        let evals = ks.len() as u64;
-        Self::finish_build(key, k_max, step, out, probes, evals, batch_bodies)
-    }
-
-    /// Shared tail of both builders: margins from the probe points, then
-    /// the segments, span index and USL screen gate.
-    fn finish_build(
-        key: Option<CurveKey>,
-        k_max: f64,
-        step: f64,
-        values: Vec<f64>,
-        probes: Vec<f64>,
-        build_evals: u64,
-        batch_bodies: u64,
-    ) -> Self {
-        let resolution = values.len() - 1;
         let mut margins = Vec::with_capacity(resolution);
         for i in 0..resolution {
+            let a = step * i as f64;
+            let p1 = curve(a + step / 3.0);
+            let p2 = curve(a + 2.0 * step / 3.0);
             let va = values[i];
             let vb = values[i + 1];
-            let p1 = probes[2 * i];
-            let p2 = probes[2 * i + 1];
             let e1 = (p1 - (va + (vb - va) / 3.0)).abs();
             let e2 = (p2 - (va + (vb - va) * 2.0 / 3.0)).abs();
             let sound = va.is_finite() && vb.is_finite() && p1.is_finite() && p2.is_finite();
@@ -334,16 +237,13 @@ impl CurveTable {
                 f64::INFINITY
             });
         }
-        let segments = build_segments(&values);
+        let build_evals = (3 * resolution + 1) as u64;
         let span_index = SpanIndex::build(&values, &margins);
-        let single_crossing =
-            segments.iter().all(|s| s.rising) && margins.iter().all(|m| m.is_finite());
         if xmodel_obs::enabled() {
             use xmodel_obs::metrics::counter_add;
             use xmodel_obs::names::metric;
             counter_add(metric::FASTPATH_TABLE_BUILDS, 1);
             counter_add(metric::FASTPATH_TABLE_EVALS, build_evals);
-            counter_add(metric::FASTPATH_BATCH_EVALS, batch_bodies);
         }
         Self {
             key,
@@ -351,9 +251,7 @@ impl CurveTable {
             step,
             values,
             margins,
-            segments,
             span_index,
-            single_crossing,
             build_evals,
         }
     }
@@ -374,11 +272,6 @@ impl CurveTable {
         self.margins.len()
     }
 
-    /// The monotone segments of the sampled curve, in `k` order.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
-    }
-
     /// Exact curve evaluations spent building this table.
     pub fn build_evals(&self) -> u64 {
         self.build_evals
@@ -386,9 +279,11 @@ impl CurveTable {
 
     /// `true` when the sampled curve is monotone non-decreasing with no
     /// unsound intervals, so `f` crosses any non-increasing `ĝ(n−k)` at
-    /// most once and [`solve_fast`] may take the USL-screened path.
+    /// most once (the non-retrograde Gunther-USL shape every Eq. (2)
+    /// roofline has). Finite margins imply finite samples.
     pub fn usl_single_crossing(&self) -> bool {
-        self.single_crossing
+        let mut steps = self.values.iter().zip(self.values.iter().skip(1));
+        self.margins.iter().all(|m| m.is_finite()) && steps.all(|(a, b)| b >= a)
     }
 
     /// Interpolated `f̃(k)` with the containing interval's margin
@@ -425,75 +320,6 @@ impl CurveTable {
     }
 }
 
-/// Split the sampled curve into maximal monotone runs. Flat pairs extend
-/// either direction; non-finite pairs form their own runs.
-fn build_segments(values: &[f64]) -> Vec<Segment> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Dir {
-        Up,
-        Down,
-        Flat,
-        Broken,
-    }
-    let intervals = values.len() - 1;
-    let dirs: Vec<Dir> = (0..intervals)
-        .map(|i| {
-            let (a, b) = (values[i], values[i + 1]);
-            if !a.is_finite() || !b.is_finite() {
-                Dir::Broken
-            } else if b > a {
-                Dir::Up
-            } else if b < a {
-                Dir::Down
-            } else {
-                Dir::Flat
-            }
-        })
-        .collect();
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    while start < intervals {
-        let broken = dirs[start] == Dir::Broken;
-        let mut rising = match dirs[start] {
-            Dir::Up => Some(true),
-            Dir::Down => Some(false),
-            _ => None,
-        };
-        let mut end = start + 1;
-        while end < intervals {
-            let d = dirs[end];
-            let compatible = if broken {
-                d == Dir::Broken
-            } else {
-                match d {
-                    Dir::Broken => false,
-                    Dir::Flat => true,
-                    Dir::Up => rising != Some(false),
-                    Dir::Down => rising != Some(true),
-                }
-            };
-            if !compatible {
-                break;
-            }
-            if !broken {
-                match d {
-                    Dir::Up => rising = Some(true),
-                    Dir::Down => rising = Some(false),
-                    _ => {}
-                }
-            }
-            end += 1;
-        }
-        out.push(Segment {
-            start,
-            end,
-            rising: rising.unwrap_or(true),
-        });
-        start = end;
-    }
-    out
-}
-
 /// Evaluation counts of one solve. The fast path's purpose is to drive
 /// `f_evals` (the `powf`-bearing curve) toward zero away from roots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -512,10 +338,6 @@ pub struct SolveStats {
     /// Span screens disabled by an unsound (non-finite-margin) table
     /// interval.
     pub unsound_disables: u64,
-    /// Eight-lane demand-kernel loop bodies executed during refinement.
-    pub batch_evals: u64,
-    /// `true` when the USL single-crossing screen answered the solve.
-    pub usl_screened: bool,
 }
 
 impl SolveStats {
@@ -545,58 +367,7 @@ fn classify(v: f64) -> Class {
     }
 }
 
-/// The two curves of one solve, abstracted so the engine monomorphizes
-/// over the flattened kernels (model solves) and dynamic closures
-/// (fault-injected / synthetic curves) alike.
-trait CurvePair {
-    fn f(&self, k: f64) -> f64;
-    fn g(&self, x: f64) -> f64;
-    /// Eight demand evaluations per call; lane `i` must equal
-    /// `self.g(xs[i])` bitwise.
-    fn g8(&self, xs: &[f64; LANES]) -> [f64; LANES] {
-        let mut out = [0.0; LANES];
-        for lane in 0..LANES {
-            out[lane] = self.g(xs[lane]);
-        }
-        out
-    }
-}
-
-struct KernelCurves {
-    supply: SupplyKernel,
-    demand: DemandKernel,
-}
-
-impl CurvePair for KernelCurves {
-    #[inline]
-    fn f(&self, k: f64) -> f64 {
-        self.supply.eval(k)
-    }
-    #[inline]
-    fn g(&self, x: f64) -> f64 {
-        self.demand.eval(x)
-    }
-    #[inline]
-    fn g8(&self, xs: &[f64; LANES]) -> [f64; LANES] {
-        self.demand.eval8(xs)
-    }
-}
-
-struct DynCurves<'a> {
-    f: &'a dyn Fn(f64) -> f64,
-    g: &'a dyn Fn(f64) -> f64,
-}
-
-impl CurvePair for DynCurves<'_> {
-    fn f(&self, k: f64) -> f64 {
-        (self.f)(k)
-    }
-    fn g(&self, x: f64) -> f64 {
-        (self.g)(x)
-    }
-}
-
-/// The layered solve engine over one `(curves, table, n)` instance.
+/// The layered solve engine over one `(f, ĝ, table, n)` instance.
 ///
 /// Soundness invariant shared by every layer: the class assigned to a
 /// dense sample — via the interpolation-margin route, the exact route,
@@ -604,52 +375,41 @@ impl CurvePair for DynCurves<'_> {
 /// residual at that sample, so the set of emitted brackets (and the
 /// bisection midpoint sequence inside each) is independent of which
 /// layer ran.
-struct Engine<'a, C: CurvePair> {
-    curves: &'a C,
+struct Engine<'a, F: Fn(f64) -> f64 + ?Sized, G: Fn(f64) -> f64 + ?Sized> {
+    f: &'a F,
+    g: &'a G,
     table: &'a CurveTable,
     n: f64,
     z: f64,
     step: f64,
-    samples: usize,
     points: Vec<Intersection>,
     prev_k: f64,
     prev_class: Class,
-    class0: Class,
     f_evals: Cell<u64>,
     g_evals: Cell<u64>,
     interp_evals: Cell<u64>,
     unsound: Cell<u64>,
     blocks_skipped: u64,
     blocks_refined: u64,
-    batch_evals: u64,
 }
 
-impl<C: CurvePair> Engine<'_, C> {
+impl<F: Fn(f64) -> f64 + ?Sized, G: Fn(f64) -> f64 + ?Sized> Engine<'_, F, G> {
     fn f_exact(&self, k: f64) -> f64 {
         self.f_evals.set(self.f_evals.get() + 1);
-        self.curves.f(k)
+        (self.f)(k)
     }
 
     fn g_exact(&self, x: f64) -> f64 {
         self.g_evals.set(self.g_evals.get() + 1);
-        self.curves.g(x)
+        (self.g)(x)
     }
 
     /// Append the classified intersection at `k`, evaluating the exact
     /// curves for the stability slopes like the reference does.
     fn emit_point(&mut self, k: f64) {
         let p = {
-            let fe = &self.f_evals;
-            let ge = &self.g_evals;
-            let curves = self.curves;
-            let f = |kk: f64| {
-                fe.set(fe.get() + 1);
-                curves.f(kk)
-            };
-            let g = |xx: f64| {
-                ge.set(ge.get() + 1);
-                curves.g(xx)
-            };
+            let f = |kk: f64| self.f_exact(kk);
+            let g = |xx: f64| self.g_exact(xx);
             solver::make_point(&f, &g, self.n, self.z, k)
         };
         self.points.push(p);
@@ -687,21 +447,6 @@ impl<C: CurvePair> Engine<'_, C> {
             }
         }
         0.5 * (lo + hi)
-    }
-
-    /// Class of dense sample `i`, by interpolation when the margin
-    /// allows and exactly otherwise.
-    fn sample_class(&self, i: usize) -> Class {
-        let k = self.step * i as f64;
-        let gk = self.g_exact(self.n - k);
-        let (ft, margin) = self.table.interp(k);
-        let vt = ft - gk;
-        if vt.abs() > margin {
-            self.interp_evals.set(self.interp_evals.get() + 1);
-            classify(vt)
-        } else {
-            classify(self.f_exact(k) - gk)
-        }
     }
 
     /// Screen dense samples `i..=j`: `Some(class)` when the residual
@@ -774,31 +519,13 @@ impl<C: CurvePair> Engine<'_, C> {
         self.prev_class = class;
     }
 
-    /// Refine dense samples `i..=j` one by one, with the demand curve
-    /// evaluated eight samples per loop body.
+    /// Refine dense samples `i..=j` one by one.
     fn refine_span(&mut self, i: usize, j: usize) {
         self.blocks_refined += 1;
-        let mut idx = i;
-        while idx + LANES <= j + 1 {
-            let mut ks = [0.0f64; LANES];
-            let mut xs = [0.0f64; LANES];
-            for lane in 0..LANES {
-                ks[lane] = self.step * (idx + lane) as f64;
-                xs[lane] = self.n - ks[lane];
-            }
-            let gs = self.curves.g8(&xs);
-            self.g_evals.set(self.g_evals.get() + LANES as u64);
-            self.batch_evals += 1;
-            for lane in 0..LANES {
-                self.refine_sample(ks[lane], gs[lane]);
-            }
-            idx += LANES;
-        }
-        while idx <= j {
+        for idx in i..=j {
             let k = self.step * idx as f64;
             let gk = self.g_exact(self.n - k);
             self.refine_sample(k, gk);
-            idx += 1;
         }
     }
 
@@ -816,109 +543,28 @@ impl<C: CurvePair> Engine<'_, C> {
         self.descend(i, mid);
         self.descend(mid + 1, j);
     }
-
-    /// Prove every dense sample in `i..=j` has class `expected`, by
-    /// screening, subdivision, and per-sample classification at the
-    /// leaves. `false` means "could not prove cheaply", never "false".
-    fn prove_span(&self, i: usize, j: usize, expected: Class, budget: &mut u32) -> bool {
-        if i > j {
-            return true;
-        }
-        if *budget == 0 {
-            return false;
-        }
-        *budget -= 1;
-        if let Some(c) = self.screen_span(i, j) {
-            return c == expected;
-        }
-        if j - i < PROVE_LEAF {
-            return (i..=j).all(|t| self.sample_class(t) == expected);
-        }
-        let mid = i + (j - i) / 2;
-        self.prove_span(i, mid, expected, budget) && self.prove_span(mid + 1, j, expected, budget)
-    }
-
-    /// Binary-search `lo < hi` with differing known classes down to an
-    /// adjacent pair. Midpoint classes are Neg or NonNeg (two-valued),
-    /// so each probe extends one side; a Zero aborts.
-    fn bisect_transition(
-        &self,
-        mut lo: usize,
-        c_lo: Class,
-        mut hi: usize,
-        c_hi: Class,
-    ) -> Option<(usize, Class, Class)> {
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            let cm = self.sample_class(mid);
-            if cm == Class::Zero {
-                return None;
-            }
-            if cm == c_lo {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Some((lo, c_lo, c_hi))
-    }
-
-    /// The USL-screened solve: for a single-crossing table, binary-search
-    /// the lone transition (or prove there is none), prove the flanks
-    /// uniform, and emit the one bracket the reference would. A failed
-    /// attempt returns `false` before emitting a point or moving the scan
-    /// state, so the descent can take over as if it never ran.
-    fn try_usl(&mut self) -> bool {
-        let class0 = self.class0;
-        if class0 == Class::Zero {
-            return false;
-        }
-        let c_end = self.sample_class(self.samples);
-        if c_end == Class::Zero {
-            return false;
-        }
-        let mut budget = PROVE_BUDGET;
-        if c_end == class0 {
-            if !self.prove_span(1, self.samples, class0, &mut budget) {
-                return false;
-            }
-            self.blocks_skipped += 1;
-            self.prev_k = self.step * self.samples as f64;
-            self.prev_class = c_end;
-            return true;
-        }
-        let Some((lo, c_lo, _)) = self.bisect_transition(0, class0, self.samples, c_end) else {
-            return false;
-        };
-        if !self.prove_span(1, lo, class0, &mut budget)
-            || !self.prove_span(lo + 1, self.samples, c_end, &mut budget)
-        {
-            return false;
-        }
-        let k_lo = self.step * lo as f64;
-        let k_hi = self.step * (lo + 1) as f64;
-        let root = self.bisect(k_lo, k_hi, c_lo == Class::Neg);
-        xmodel_obs::event!("solver.bracket", lo = k_lo, hi = k_hi, root = root);
-        self.emit_point(root);
-        self.prev_k = self.step * self.samples as f64;
-        self.prev_class = c_end;
-        true
-    }
 }
 
 /// The shared solve core behind every fast-path entry point.
-fn solve_core<C: CurvePair>(
-    curves: &C,
+fn solve_core<F, G>(
+    f: &F,
+    g: &G,
     table: &CurveTable,
     n: f64,
     z: f64,
     samples: usize,
-) -> (Equilibria, SolveStats) {
+) -> (Equilibria, SolveStats)
+where
+    F: Fn(f64) -> f64 + ?Sized,
+    G: Fn(f64) -> f64 + ?Sized,
+{
     assert!(samples >= 2, "need at least two scan samples");
     let _span = xmodel_obs::span!(xmodel_obs::names::span::SOLVER_SOLVE_FAST);
-    let mut stats = SolveStats::default();
     if n <= 0.0 {
-        return (Equilibria::from_points(Vec::new(), n), stats);
+        return (
+            Equilibria::from_points(Vec::new(), n),
+            SolveStats::default(),
+        );
     }
     assert!(
         n <= table.k_max * (1.0 + 1e-9),
@@ -928,23 +574,21 @@ fn solve_core<C: CurvePair>(
     );
     let step = n / samples as f64;
     let mut engine = Engine {
-        curves,
+        f,
+        g,
         table,
         n,
         z,
         step,
-        samples,
         points: Vec::new(),
         prev_k: 0.0,
         prev_class: Class::NonNeg,
-        class0: Class::NonNeg,
         f_evals: Cell::new(0),
         g_evals: Cell::new(0),
         interp_evals: Cell::new(0),
         unsound: Cell::new(0),
         blocks_skipped: 0,
         blocks_refined: 0,
-        batch_evals: 0,
     };
     // Dense index 0 is always evaluated exactly, like the reference.
     let v0 = engine.f_exact(0.0) - engine.g_exact(n - 0.0);
@@ -952,21 +596,16 @@ fn solve_core<C: CurvePair>(
         engine.emit_point(0.0);
     }
     engine.prev_class = classify(v0);
-    engine.class0 = engine.prev_class;
+    engine.descend(1, samples);
 
-    if table.single_crossing && engine.try_usl() {
-        stats.usl_screened = true;
-    } else {
-        engine.descend(1, samples);
-    }
-
-    stats.f_evals = engine.f_evals.get();
-    stats.g_evals = engine.g_evals.get();
-    stats.interp_evals = engine.interp_evals.get();
-    stats.unsound_disables = engine.unsound.get();
-    stats.blocks_skipped = engine.blocks_skipped;
-    stats.blocks_refined = engine.blocks_refined;
-    stats.batch_evals = engine.batch_evals;
+    let stats = SolveStats {
+        f_evals: engine.f_evals.get(),
+        g_evals: engine.g_evals.get(),
+        interp_evals: engine.interp_evals.get(),
+        blocks_skipped: engine.blocks_skipped,
+        blocks_refined: engine.blocks_refined,
+        unsound_disables: engine.unsound.get(),
+    };
     let eq = solver::finish(engine.points, n, step);
     if xmodel_obs::enabled() {
         use xmodel_obs::metrics::counter_add;
@@ -977,7 +616,6 @@ fn solve_core<C: CurvePair>(
         counter_add(metric::FASTPATH_INTERP_EVALS, stats.interp_evals);
         counter_add(metric::FASTPATH_EXACT_EVALS, stats.f_evals);
         counter_add(metric::FASTPATH_UNSOUND_DISABLES, stats.unsound_disables);
-        counter_add(metric::FASTPATH_BATCH_EVALS, stats.batch_evals);
     }
     (eq, stats)
 }
@@ -1005,11 +643,14 @@ pub fn solve_fast_stats(
         table.key == Some(CurveKey::of(model)),
         "CurveTable was built for a different supply curve"
     );
-    let curves = KernelCurves {
-        supply: SupplyKernel::of(model),
-        demand: DemandKernel::of(model),
-    };
-    solve_core(&curves, table, model.workload.n, model.workload.z, samples)
+    solve_core(
+        &|k| model.fk(k),
+        &|x| model.g_hat(x),
+        table,
+        model.workload.n,
+        model.workload.z,
+        samples,
+    )
 }
 
 /// [`solve_fast`] over raw curve closures paired with a
@@ -1026,11 +667,7 @@ pub fn solve_fast_curves(
     z: f64,
     samples: usize,
 ) -> (Equilibria, SolveStats) {
-    let curves = DynCurves {
-        f: curve_f,
-        g: curve_g_hat,
-    };
-    solve_core(&curves, table, n, z, samples)
+    solve_core(curve_f, curve_g_hat, table, n, z, samples)
 }
 
 /// Run the exact reference [`XModel::solve_with`] while counting curve
@@ -1188,22 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_and_scalar_builds_are_bitwise_identical() {
-        let m = cached_model();
-        let fast = CurveTable::build_with(&m, 64.0, 256);
-        let f = |k: f64| m.fk(k);
-        let scalar = CurveTable::from_curve(None, &f, 64.0, 256);
-        assert_eq!(fast.values.len(), scalar.values.len());
-        for i in 0..fast.values.len() {
-            assert_eq!(fast.values[i].to_bits(), scalar.values[i].to_bits());
-        }
-        for i in 0..fast.margins.len() {
-            assert_eq!(fast.margins[i].to_bits(), scalar.margins[i].to_bits());
-        }
-        assert_eq!(fast.build_evals(), scalar.build_evals());
-    }
-
-    #[test]
     fn interp_margin_bounds_true_error() {
         let m = cached_model();
         let t = CurveTable::build(&m, 64.0);
@@ -1234,22 +855,6 @@ mod tests {
     }
 
     #[test]
-    fn segments_cover_domain_and_follow_shape() {
-        let m = cached_model();
-        let t = CurveTable::build(&m, 64.0);
-        let segs = t.segments();
-        assert!(!segs.is_empty());
-        assert_eq!(segs[0].start, 0);
-        assert_eq!(segs[segs.len() - 1].end, t.resolution());
-        for pair in segs.windows(2) {
-            assert_eq!(pair[0].end, pair[1].start, "segments must tile");
-        }
-        // Eq. (5) with a pronounced peak: first rising, then a falling run.
-        assert!(segs[0].rising);
-        assert!(segs.iter().any(|s| !s.rising), "cache valley missing");
-    }
-
-    #[test]
     fn usl_screen_gates_on_monotonicity() {
         // Every cacheless roofline is monotone: single-crossing.
         let t = CurveTable::build(&basic_model(), 64.0);
@@ -1267,6 +872,25 @@ mod tests {
         // The Eq. (5) peak/valley curve is retrograde: screen off.
         let t = CurveTable::build(&cached_model(), 64.0);
         assert!(!t.usl_single_crossing());
+        // Raw tables: the gate reads only the samples and margins.
+        let gate =
+            |f: &dyn Fn(f64) -> f64| CurveTable::tabulate(f, 64.0, 256).usl_single_crossing();
+        // A NaN hole makes its intervals unsound, rising or not.
+        assert!(!gate(&|k| if (20.0..21.0).contains(&k) {
+            f64::NAN
+        } else {
+            k / 500.0
+        }));
+        // One falling interval (32 → 32.25) in an otherwise rising curve.
+        assert!(!gate(&|k| if k <= 32.0 {
+            k / 500.0
+        } else {
+            (k - 0.5) / 500.0
+        }));
+        // Flat samples count as non-decreasing.
+        assert!(gate(&|_| 0.05));
+        let m = cached_model();
+        assert!(!gate(&|k| m.fk(k)));
     }
 
     #[test]
@@ -1277,15 +901,6 @@ mod tests {
             let fast = solve_fast(&m, &t, solver::DEFAULT_SAMPLES);
             assert_eq!(exact, fast, "fast path must reproduce the reference");
         }
-    }
-
-    #[test]
-    fn usl_path_actually_engages_on_roofline() {
-        let m = basic_model();
-        let t = CurveTable::build(&m, 64.0);
-        let (eq, stats) = solve_fast_stats(&m, &t, solver::DEFAULT_SAMPLES);
-        assert!(stats.usl_screened, "monotone curve must take the USL path");
-        assert_eq!(eq, m.solve());
     }
 
     #[test]

@@ -46,9 +46,8 @@
 //! | [`cache`] | Jacob hit-rate model, Eq. (5), peak/valley/plateau features |
 //! | [`multilevel`] | two-level (L1+L2) extension of Eq. (5), mechanical bypass |
 //! | [`solver`] | flow-balance root finding, all intersections |
-//! | [`batch`] | lane-batched `[f64; 8]` curve kernels behind the fast path |
-//! | [`fastpath`] | tabulated supply curve, `solve_fast`, `SolveCache` |
-//! | [`sweep`] | deterministic parallel grid engine |
+//! | [`fastpath`] | tabulated supply curve, three-layer `solve_fast`, `SolveCache` |
+//! | [`sweep`] | deterministic parallel grid engine on `std::thread::scope` |
 //! | [`degrade`] | graceful-degradation ladder: exact → grid-scan → baseline |
 //! | [`stability`] | Eq. (6) stability classification |
 //! | [`dynamics`] | thread-migration ODE, convergence, hysteresis |
@@ -68,7 +67,6 @@
 #![forbid(unsafe_code)]
 
 pub mod balance;
-pub mod batch;
 pub mod cache;
 pub mod cs;
 pub mod degrade;

@@ -42,7 +42,7 @@ use crate::fastpath::{solve_fast, CurveKey, CurveTable, SolveCache};
 use crate::model::XModel;
 use crate::params::{MachineParams, WorkloadParams};
 use crate::presets::{GpuSpec, Precision};
-use crate::solver::{Intersection, DEFAULT_SAMPLES};
+use crate::solver::{Intersection, DEFAULT_SAMPLES, MAX_SAMPLES};
 use crate::whatif::{Optimization, WhatIf};
 use serde::ser::{SerializeStruct, Serializer};
 use serde::Serialize;
@@ -785,6 +785,11 @@ fn parse_request(
         WorkloadParams::try_new(z, e, n).map_err(|e| ServeError::Model(e.to_string()))?;
 
     let model = match field("l1_kib") {
+        Some(kib) if kib < 0.0 => {
+            return Err(ServeError::BadRequest(format!(
+                "`l1_kib` must be an L1 size of at least 0 KiB, got {kib}"
+            )))
+        }
         Some(kib) if kib > 0.0 => {
             let alpha = field("alpha").unwrap_or(3.0);
             let beta = field("beta").unwrap_or(2048.0);
@@ -802,7 +807,7 @@ fn parse_request(
     let samples = json
         .get("samples")
         .and_then(|v| v.as_u64())
-        .map(|s| (s as usize).clamp(64, 65_536))
+        .map(|s| (s as usize).clamp(64, MAX_SAMPLES))
         .unwrap_or(shared.cfg.samples);
 
     let budget_ms = request
@@ -1245,6 +1250,15 @@ mod tests {
             "{\"m\":6,\"r\":0.1,\"l\":520,\"z\":-2,\"n\":48}",
         );
         assert_eq!(status, 400, "{body}");
+
+        // A negative L1 is a typed 400, not a silently cacheless solve.
+        let (status, _, body) = post(
+            addr,
+            "/solve",
+            "{\"gpu\":\"fermi\",\"z\":16,\"n\":32,\"l1_kib\":-5}",
+        );
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("`l1_kib`"), "{body}");
 
         // Nesting past the parser's cap is a 400, not a stack overflow
         // that takes the worker and the daemon down with it.

@@ -152,6 +152,11 @@ impl Equilibria {
 /// Default number of scan samples used by [`solve`].
 pub const DEFAULT_SAMPLES: usize = 2048;
 
+/// Most scan samples a caller-supplied count may ask for: the daemon
+/// clamps to it and `xmodel sweep` rejects more. Each sample costs a
+/// curve evaluation per solve, so an unbounded count is a hang.
+pub const MAX_SAMPLES: usize = 65_536;
+
 /// Bisection iterations per bracketed root. Shared with the screened
 /// bisection in [`crate::fastpath`], which must run the exact same
 /// midpoint sequence to stay bit-identical.
@@ -159,7 +164,7 @@ pub(crate) const BISECT_ITERS: usize = 80;
 
 /// Dedup radius in units of the dense-scan step: roots within
 /// `DEDUP_STEP_FACTOR · step` of each other collapse to one. Every solve
-/// tier (exact, fast, batch, warm) funnels through [`finish`], so this is
+/// tier (exact and fast) funnels through [`finish`], so this is
 /// the single place the tolerance is defined; the applied value is
 /// recorded in [`Equilibria::dedup_tolerance`].
 pub(crate) const DEDUP_STEP_FACTOR: f64 = 1.5;

@@ -1,10 +1,10 @@
 //! Deterministic parallel grid engine.
 //!
-//! [`run`] fans an item slice out over vendored-`crossbeam` scoped
-//! worker threads and collects the per-item results back **in index
-//! order**, so the output is a pure function of the inputs — identical
-//! for any job count, byte for byte (CI verifies this on the
-//! `xmodel sweep` JSON output). Work is claimed chunk-by-chunk from an
+//! [`run`] fans an item slice out over `std::thread::scope` worker
+//! threads and collects the per-item results back **in index order**,
+//! so the output is a pure function of the inputs — identical for any
+//! job count, byte for byte (CI verifies this on the `xmodel sweep`
+//! JSON output). Work is claimed chunk-by-chunk from an
 //! atomic cursor — idle workers steal the next chunk — so uneven
 //! per-item cost load-balances without scheduling-dependent output.
 //!
@@ -18,13 +18,15 @@
 //! and the `sweep.workers` / `sweep.utilization` / `sweep.imbalance`
 //! gauges — gathered outside the result-collection path, so they cannot
 //! perturb the byte-identical output.
+//!
+//! Each worker returns its `(start, results)` chunks and its tally
+//! through its join handle, so collection takes no lock. A worker panic
+//! is re-raised in the caller once the handles are joined.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
-/// Per-worker tallies of one run, collected only while tracing is
+/// Per-worker tallies of one run, filled in only while tracing is
 /// enabled and published as `sweep.*` metrics after the join. The
 /// result-collection path never reads these, so instrumentation cannot
 /// perturb the byte-identical-output contract.
@@ -144,59 +146,50 @@ where
     }
     let chunk = items.len().div_ceil(jobs * CHUNKS_PER_JOB).max(1);
     let cursor = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
-    let tallies: Mutex<Vec<WorkerTally>> = Mutex::new(Vec::new());
-    let joined = crossbeam::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|_| {
-                let mut tally = WorkerTally::default();
-                loop {
-                    tally.claims += 1;
-                    let start = cursor.fetch_add(1, Ordering::Relaxed).saturating_mul(chunk);
-                    if start >= items.len() {
-                        break;
-                    }
-                    let _chunk_span = xmodel_obs::span!(xmodel_obs::names::span::SWEEP_CHUNK);
-                    // xlint: allow(nondeterminism-in-result-path, tracing-gated per-chunk timer; feeds sweep.* metrics only)
-                    let chunk_start = instrument.then(Instant::now);
-                    let end = (start + chunk).min(items.len());
-                    let out: Vec<R> = items[start..end]
-                        .iter()
-                        .enumerate()
-                        .map(|(off, it)| op(start + off, it))
-                        .collect();
-                    if let Some(t0) = chunk_start {
-                        tally.busy += t0.elapsed();
-                        tally.cells += (end - start) as u64;
-                    }
-                    xmodel_obs::metrics::counter_add(xmodel_obs::names::metric::SWEEP_CHUNKS, 1);
-                    // xlint: allow(lock-in-result-path, chunk drop-box; results are re-sorted by start index after the join so lock order cannot leak)
-                    done.lock().push((start, out));
-                }
-                if instrument {
-                    // xlint: allow(lock-in-result-path, tracing-gated tally box; folded into metrics after the join)
-                    tallies.lock().push(tally);
-                }
-            });
+    let worker = || {
+        let mut done = Vec::new();
+        let mut tally = WorkerTally::default();
+        loop {
+            tally.claims += 1;
+            let start = cursor.fetch_add(1, Ordering::Relaxed).saturating_mul(chunk);
+            if start >= items.len() {
+                break;
+            }
+            let _chunk_span = xmodel_obs::span!(xmodel_obs::names::span::SWEEP_CHUNK);
+            // xlint: allow(nondeterminism-in-result-path, tracing-gated per-chunk timer; feeds sweep.* metrics only)
+            let chunk_start = instrument.then(Instant::now);
+            let end = (start + chunk).min(items.len());
+            let out: Vec<R> = items[start..end]
+                .iter()
+                .enumerate()
+                .map(|(off, it)| op(start + off, it))
+                .collect();
+            if let Some(t0) = chunk_start {
+                tally.busy += t0.elapsed();
+                tally.cells += (end - start) as u64;
+            }
+            xmodel_obs::metrics::counter_add(xmodel_obs::names::metric::SWEEP_CHUNKS, 1);
+            done.push((start, out));
         }
+        (done, tally)
+    };
+    let joined = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..jobs).map(|_| scope.spawn(worker)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect::<Vec<_>>()
     });
     if let Some(t0) = run_start {
-        publish_tallies(jobs, t0.elapsed(), &tallies.into_inner());
+        let tallies: Vec<WorkerTally> = joined.iter().map(|&(_, tally)| tally).collect();
+        publish_tallies(jobs, t0.elapsed(), &tallies);
     }
-    match joined {
-        Ok(()) => {
-            let mut chunks = done.into_inner();
-            chunks.sort_unstable_by_key(|&(start, _)| start);
-            chunks
-                .into_iter()
-                .flat_map(|(_, results)| results)
-                .collect()
-        }
-        // The compat scope cannot reach here (worker panics propagate
-        // through the enclosing `std::thread::scope`), but degrade to a
-        // serial pass rather than panicking.
-        Err(_) => items.iter().enumerate().map(|(i, it)| op(i, it)).collect(),
-    }
+    let mut chunks: Vec<_> = joined.into_iter().flat_map(|(done, _)| done).collect();
+    chunks.sort_unstable_by_key(|&(start, _)| start);
+    chunks
+        .into_iter()
+        .flat_map(|(_, results)| results)
+        .collect()
 }
 
 #[cfg(test)]
@@ -250,5 +243,17 @@ mod tests {
             v
         });
         assert_eq!(got, items);
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5 failed")]
+    fn worker_panic_reaches_the_caller() {
+        let items: Vec<u32> = (0..64).collect();
+        run(4, &items, |_, &v| {
+            if v == 5 {
+                panic!("item 5 failed");
+            }
+            v
+        });
     }
 }

@@ -261,7 +261,7 @@ mod tests {
     /// count equals `_count`.
     #[test]
     fn prometheus_format_audit() {
-        let _guard = crate::TEST_LOCK.lock();
+        let _guard = crate::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         crate::install(Box::new(crate::NullSink));
         metrics::counter_add(crate::names::metric::FASTPATH_CACHE_HITS, 3);
         metrics::counter_add(crate::names::metric::SWEEP_CHUNK_CLAIMS, 9);

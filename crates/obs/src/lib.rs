@@ -75,9 +75,8 @@ pub mod span;
 pub use event::{Event, Value};
 pub use sink::{FaultySink, JsonlSink, MemSink, NullSink, Sink, SinkFaultCounters};
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -107,7 +106,7 @@ pub fn install(sink: Box<dyn Sink>) {
     ANCHOR.get_or_init(Instant::now);
     span::reset_aggregates();
     metrics::reset();
-    *SINK.lock() = Some(sink);
+    *SINK.lock().unwrap_or_else(|e| e.into_inner()) = Some(sink);
     ENABLED.store(true, Ordering::SeqCst);
 }
 
@@ -182,14 +181,14 @@ pub fn emit_with_span(
         span,
         fields,
     };
-    if let Some(sink) = SINK.lock().as_ref() {
+    if let Some(sink) = SINK.lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
         sink.emit(&event);
     }
 }
 
 /// Flush the active sink's buffers.
 pub fn flush() {
-    if let Some(sink) = SINK.lock().as_ref() {
+    if let Some(sink) = SINK.lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
         sink.flush();
     }
 }
@@ -199,7 +198,7 @@ pub fn flush() {
 pub fn finish(manifest: Option<&manifest::RunManifest>) {
     let sink = {
         ENABLED.store(false, Ordering::SeqCst);
-        SINK.lock().take()
+        SINK.lock().unwrap_or_else(|e| e.into_inner()).take()
     };
     if let Some(sink) = sink {
         if let Some(m) = manifest {
@@ -232,7 +231,7 @@ mod tests {
     use crate::TEST_LOCK;
 
     fn with_mem_sink(f: impl FnOnce()) -> Vec<String> {
-        let _guard = TEST_LOCK.lock();
+        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let sink = MemSink::new();
         install(Box::new(sink.clone()));
         f();
@@ -295,7 +294,7 @@ mod tests {
 
     #[test]
     fn disabled_tracing_is_a_no_op() {
-        let _guard = TEST_LOCK.lock();
+        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         assert!(!enabled());
         span::reset_aggregates();
         metrics::reset();
@@ -322,7 +321,7 @@ mod tests {
 
     #[test]
     fn histogram_bucket_edges_are_inclusive_upper() {
-        let _guard = TEST_LOCK.lock();
+        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         install(Box::new(NullSink));
         let edges = [1.0, 2.0, 4.0];
         for v in [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 100.0] {
@@ -339,7 +338,7 @@ mod tests {
 
     #[test]
     fn counters_and_gauges_accumulate() {
-        let _guard = TEST_LOCK.lock();
+        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         install(Box::new(NullSink));
         metrics::counter_add("events", 3);
         metrics::counter_add("events", 4);
@@ -362,7 +361,7 @@ mod tests {
             params.insert("warps".to_string(), "32".to_string());
             let m = manifest::RunManifest::collect("sim", params, Some(42));
             emit_with_span("noop", None, vec![]); // keep sink non-empty pre-manifest
-            if let Some(sink) = SINK.lock().as_ref() {
+            if let Some(sink) = SINK.lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
                 sink.emit_raw(&m.to_json());
             }
         });
@@ -412,5 +411,47 @@ mod tests {
         assert!(rendered.contains("run"));
         assert!(rendered.contains("step"));
         assert!(rendered.contains("work.item"));
+    }
+
+    /// Panics in its first `emit`, while `emit_with_span` holds the
+    /// global sink lock, and forwards every later call to `inner`.
+    struct PanicOnceSink {
+        fired: AtomicBool,
+        inner: MemSink,
+    }
+
+    impl Sink for PanicOnceSink {
+        fn emit(&self, event: &Event) {
+            if !self.fired.swap(true, Ordering::SeqCst) {
+                panic!("sink failure while holding the lock");
+            }
+            self.inner.emit(event);
+        }
+
+        fn emit_raw(&self, line: &str) {
+            self.inner.emit_raw(line);
+        }
+
+        fn flush(&self) {
+            self.inner.flush();
+        }
+    }
+
+    #[test]
+    fn tracing_survives_a_sink_that_panics_holding_the_lock() {
+        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let mem = MemSink::new();
+        install(Box::new(PanicOnceSink {
+            fired: AtomicBool::new(false),
+            inner: mem.clone(),
+        }));
+        let first = std::thread::spawn(|| event!("sink.first")).join();
+        assert!(first.is_err(), "the first emit must panic");
+        event!("sink.second");
+        let lines = mem.lines();
+        finish(None);
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        let parsed = json::parse(&lines[0]).expect("line parses");
+        assert_eq!(parsed.get("kind").unwrap().as_str(), Some("sink.second"));
     }
 }

@@ -6,9 +6,8 @@
 //! All update paths are gated on the global tracing flag, so a build with
 //! tracing disabled pays one relaxed atomic load per call.
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// Monotonically increasing counter value.
 #[derive(Debug, Clone, Default)]
@@ -165,7 +164,7 @@ struct Registry {
 static REGISTRY: Mutex<Option<Registry>> = Mutex::new(None);
 
 fn with_registry<R>(f: impl FnOnce(&mut Registry) -> R) -> R {
-    let mut guard = REGISTRY.lock();
+    let mut guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     f(guard.get_or_insert_with(Registry::default))
 }
 
@@ -222,5 +221,5 @@ pub fn snapshot() -> MetricsSnapshot {
 
 /// Clear all metrics (between runs in one process, and in tests).
 pub fn reset() {
-    *REGISTRY.lock() = None;
+    *REGISTRY.lock().unwrap_or_else(|e| e.into_inner()) = None;
 }

@@ -87,9 +87,6 @@ pub mod metric {
     /// Coarse blocks whose screening was disabled by an unsound
     /// (non-finite-margin) table interval.
     pub const FASTPATH_UNSOUND_DISABLES: &str = "fastpath.unsound_disables";
-    /// Eight-lane kernel loop bodies executed by batched evaluation
-    /// (table builds and fast-path leaf refinement).
-    pub const FASTPATH_BATCH_EVALS: &str = "fastpath.batch_evals";
 
     // --- core::sweep executor introspection ----------------------------
 
@@ -199,9 +196,6 @@ pub fn metric_help(name: &str) -> Option<&'static str> {
         metric::FASTPATH_UNSOUND_DISABLES => {
             "coarse blocks with screening disabled by an unsound margin"
         }
-        metric::FASTPATH_BATCH_EVALS => {
-            "eight-lane kernel loop bodies executed by table builds and refinement"
-        }
         metric::SWEEP_CHUNK_CLAIMS => "chunk claims taken from the sweep cursor",
         metric::SWEEP_WORKER_CELLS => "cells completed per worker per sweep run",
         metric::SWEEP_WORKERS => "worker threads used by the most recent sweep",
@@ -270,7 +264,6 @@ mod tests {
             super::metric::FASTPATH_INTERP_EVALS,
             super::metric::FASTPATH_EXACT_EVALS,
             super::metric::FASTPATH_UNSOUND_DISABLES,
-            super::metric::FASTPATH_BATCH_EVALS,
             super::metric::SWEEP_CHUNK_CLAIMS,
             super::metric::SWEEP_WORKER_CELLS,
             super::metric::SWEEP_WORKERS,

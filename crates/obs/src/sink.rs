@@ -1,9 +1,8 @@
 //! Trace sinks: where serialized events go.
 
 use crate::event::Event;
-use parking_lot::Mutex;
 use std::io::Write;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Destination for trace events. Implementations receive fully formed
 /// events and decide how to persist them; `emit` must be cheap enough to
@@ -56,14 +55,18 @@ impl Sink for JsonlSink {
     }
 
     fn emit_raw(&self, line: &str) {
-        let mut w = self.writer.lock();
+        let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         // I/O errors must not abort a simulation mid-run; drop the line.
         let _ = w.write_all(line.as_bytes());
         let _ = w.write_all(b"\n");
     }
 
     fn flush(&self) {
-        let _ = self.writer.lock().flush();
+        let _ = self
+            .writer
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .flush();
     }
 }
 
@@ -155,7 +158,7 @@ impl FaultySink {
 
     /// Uniform sample in [0, 1) from the SplitMix64 stream.
     fn sample(&self) -> f64 {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64
     }
 }
@@ -204,17 +207,23 @@ impl MemSink {
 
     /// Snapshot of all lines emitted so far.
     pub fn lines(&self) -> Vec<String> {
-        self.lines.lock().clone()
+        self.lines.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 }
 
 impl Sink for MemSink {
     fn emit(&self, event: &Event) {
-        self.lines.lock().push(event.to_json());
+        self.lines
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(event.to_json());
     }
 
     fn emit_raw(&self, line: &str) {
-        self.lines.lock().push(line.to_string());
+        self.lines
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(line.to_string());
     }
 
     fn flush(&self) {}

@@ -4,9 +4,9 @@
 //! manifest reports as wall-time per phase.
 
 use crate::event::Value;
-use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 use std::time::Instant;
 
 thread_local! {
@@ -31,12 +31,12 @@ pub fn current() -> Option<&'static str> {
 
 /// Snapshot of all span aggregates, keyed by name.
 pub fn aggregates() -> BTreeMap<&'static str, SpanAgg> {
-    AGGREGATES.lock().clone()
+    AGGREGATES.lock().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
 /// Clear aggregates (between runs in one process, and in tests).
 pub fn reset_aggregates() {
-    AGGREGATES.lock().clear();
+    AGGREGATES.lock().unwrap_or_else(|e| e.into_inner()).clear();
 }
 
 /// RAII span. Create via [`crate::span!`]; the span ends (and its event
@@ -82,7 +82,7 @@ impl Drop for SpanGuard {
             stack.pop();
         });
         {
-            let mut aggs = AGGREGATES.lock();
+            let mut aggs = AGGREGATES.lock().unwrap_or_else(|e| e.into_inner());
             let agg = aggs.entry(active.name).or_default();
             agg.count += 1;
             agg.total_ns += elapsed.as_nanos();

@@ -4,8 +4,8 @@
 //! with nothing torn, interleaved, or lost.
 //!
 //! These tests drive the *global* pipeline (`install` + macros) the way
-//! a multi-threaded sweep would, using the `compat/crossbeam` scoped
-//! threads the workspace standardizes on.
+//! a multi-threaded sweep would, on `std::thread::scope` threads like
+//! `core::sweep`'s.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -33,9 +33,9 @@ fn concurrent_writers_produce_line_atomic_jsonl() {
     let path = temp_trace("concurrent");
     xmodel_obs::init_jsonl(&path).expect("create trace file");
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for thread in 0..THREADS {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..EVENTS_PER_THREAD {
                     let _span = xmodel_obs::span!("worker.step");
                     xmodel_obs::event!(
@@ -49,8 +49,7 @@ fn concurrent_writers_produce_line_atomic_jsonl() {
                 }
             });
         }
-    })
-    .expect("threads join");
+    });
 
     let manifest = xmodel_obs::manifest::RunManifest::collect(
         "concurrent-test",
@@ -94,9 +93,9 @@ fn concurrent_histogram_observations_are_not_lost() {
     let path = temp_trace("hist");
     xmodel_obs::init_jsonl(&path).expect("create trace file");
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..THREADS {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 for i in 0..EVENTS_PER_THREAD {
                     xmodel_obs::metrics::histogram_observe(
                         "latency",
@@ -106,8 +105,7 @@ fn concurrent_histogram_observations_are_not_lost() {
                 }
             });
         }
-    })
-    .expect("threads join");
+    });
 
     let snap = xmodel_obs::metrics::snapshot();
     xmodel_obs::finish(None);

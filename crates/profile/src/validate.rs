@@ -114,39 +114,28 @@ pub fn validate_one(spec: &GpuSpec, workload: &Workload) -> xmodel_core::Result<
 }
 
 /// Run the full §V validation suite on a GPU (the paper uses the K40).
-/// Applications are validated on worker threads (one simulator instance
-/// each) via a crossbeam scope, preserving suite order in the report.
+/// Applications are validated on `std::thread::scope` worker threads
+/// (one simulator instance each), preserving suite order in the report.
+/// Each handle is joined inside the scope, so a panicked worker becomes
+/// that app's typed error instead of re-panicking the whole suite.
 pub fn validate_suite(spec: &GpuSpec) -> xmodel_core::Result<ValidationReport> {
     let suite = Workload::suite();
-    let mut slots: Vec<Option<xmodel_core::Result<AppValidation>>> = vec![None; suite.len()];
-    let scoped = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in &suite {
-            let spec = &*spec;
-            handles.push(scope.spawn(move |_| validate_one(spec, w)));
-        }
-        for (slot, h) in slots.iter_mut().zip(handles) {
-            // A panicked worker is reported as a typed error rather than
-            // re-panicking the whole suite.
-            *slot = Some(
+    let slots: Vec<xmodel_core::Result<AppValidation>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = suite
+            .iter()
+            .map(|w| scope.spawn(move || validate_one(spec, w)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
                 h.join()
                     .unwrap_or(Err(xmodel_core::ModelError::NoConvergence {
                         routine: "validate",
-                    })),
-            );
-        }
+                    }))
+            })
+            .collect()
     });
-    if scoped.is_err() {
-        return Err(xmodel_core::ModelError::NoConvergence {
-            routine: "validate",
-        });
-    }
-    let mut apps = Vec::with_capacity(slots.len());
-    for slot in slots {
-        apps.push(slot.unwrap_or(Err(xmodel_core::ModelError::NoConvergence {
-            routine: "validate",
-        }))?);
-    }
+    let apps = slots.into_iter().collect::<xmodel_core::Result<Vec<_>>>()?;
     Ok(ValidationReport { apps })
 }
 

@@ -52,16 +52,19 @@ echo "=== benchmark harness build (perfbench/) ==="
 CARGO_TARGET_DIR=target/perfbench \
   cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "=== §V records bit for bit (one validate and one validate_l1 pass) ==="
-# A pass checks every op's record against perfbench/reference/*.jsonl
-# (36 + 24 records, shortest round-trip floats) and counts a mismatch
-# as a failed op. The harness takes only a positive --seconds; any
-# value shorter than one pass runs exactly one.
-for workload in validate validate_l1; do
+echo "=== one perfbench pass each: §V records and sweep rows bit for bit ==="
+# A validate or validate_l1 pass checks every op's record against
+# perfbench/reference/*.jsonl (36 + 24 records, shortest round-trip
+# floats); a sweep pass runs 72 `xmodel sweep` calls over the seeded
+# design grid and compares 288 sampled rows with the dense solver
+# (`XModel::solve_with`). Either way a mismatch counts as a failed op.
+# The harness takes only a positive --seconds; any value shorter than
+# one pass runs exactly one.
+for workload in validate validate_l1 sweep; do
   result="$(target/perfbench/release/perfbench --workload "$workload" --seed 1 \
     --seconds 0.001 --trace 0 --xmodel target/release/xmodel | tail -n 1)"
   echo "$result" | grep -q '"failed": 0,' \
-    || { echo "perfbench $workload: records differ from the reference: $result" >&2; exit 1; }
+    || { echo "perfbench $workload: output differs from its reference: $result" >&2; exit 1; }
 done
 
 echo "=== trace smoke test ==="
