@@ -1174,6 +1174,19 @@ fn get_u64(flags: &HashMap<String, String>, key: &str) -> Result<Option<u64>, St
     }
 }
 
+/// Parse an optional queue-fill watermark for `serve`'s load shedding: a
+/// finite number ≥ 0. A negative one would shed on an idle daemon, and
+/// NaN would compare false everywhere and turn shedding off.
+fn get_watermark(flags: &HashMap<String, String>, key: &str) -> Result<Option<f64>, String> {
+    match get_f64(flags, key)? {
+        Some(v) if !v.is_finite() || v < 0.0 => Err(format!(
+            "--{key} must be a finite number >= 0, got `{}`",
+            flags[key]
+        )),
+        v => Ok(v),
+    }
+}
+
 /// `xmodel serve`: boot the overload-safe daemon (`core::serve`) and
 /// block until it drains (`POST /quitck`). The listen address is
 /// printed to stdout (and flushed) before blocking so scripts can bind
@@ -1194,8 +1207,8 @@ fn cmd_serve(flags: HashMap<String, String>) -> Result<(), CliError> {
             .map_or(defaults.default_deadline_ms, |v| v.max(1)),
         drain_deadline_ms: get_u64(&flags, "drain-timeout")?
             .map_or(defaults.drain_deadline_ms, |v| v.max(1)),
-        grid_watermark: get_f64(&flags, "grid-watermark")?.unwrap_or(defaults.grid_watermark),
-        baseline_watermark: get_f64(&flags, "baseline-watermark")?
+        grid_watermark: get_watermark(&flags, "grid-watermark")?.unwrap_or(defaults.grid_watermark),
+        baseline_watermark: get_watermark(&flags, "baseline-watermark")?
             .unwrap_or(defaults.baseline_watermark),
         stall_ms: fault_spec().serve_stall_ms,
         cache_shards: get_u64(&flags, "shards")?

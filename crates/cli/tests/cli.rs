@@ -787,6 +787,40 @@ fn sweep_output_is_byte_identical_with_tracing_enabled() {
     std::fs::remove_file(&t4).ok();
 }
 
+/// A watermark that is negative or not finite is a usage error, raised
+/// before the daemon binds (a daemon that did start is killed and fails
+/// the test rather than hanging it).
+#[test]
+fn serve_rejects_meaningless_watermarks() {
+    let cases = [
+        ("--baseline-watermark", "-1"),
+        ("--baseline-watermark", "nan"),
+        ("--grid-watermark", "-0.5"),
+        ("--grid-watermark", "inf"),
+    ];
+    for (flag, value) in cases {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_xmodel"))
+            .args(["serve", "--addr", "127.0.0.1:0", flag, value])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn xmodel serve");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while child.try_wait().expect("poll child").is_none() {
+            if std::time::Instant::now() > deadline {
+                child.kill().ok();
+                panic!("{flag} {value}: serve started instead of rejecting it");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("collect output");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {err}");
+        assert!(err.contains(flag), "{flag} not named: {err}");
+        assert!(out.stdout.is_empty(), "{flag} {value}: no listen banner");
+    }
+}
+
 #[test]
 fn serve_boots_answers_and_drains_clean() {
     use std::io::{BufRead, BufReader, Read, Write};

@@ -79,8 +79,8 @@ pub fn parse(text: &str) -> Result<Kernel, String> {
                 .ok_or_else(|| err("block header needs weight=".into()))?
                 .parse::<f64>()
                 .map_err(|e| err(format!("weight: {e}")))?;
-            if weight < 0.0 {
-                return Err(err("weight must be non-negative".into()));
+            if !weight.is_finite() || weight < 0.0 {
+                return Err(err("weight must be finite and non-negative".into()));
             }
             blocks.push(BasicBlock {
                 insts: Vec::new(),
@@ -199,5 +199,17 @@ mod tests {
         let text = ".kernel k tpb=32\n.block weight=1\n  FFMA\n  JUNK\n";
         let e = parse(text).unwrap_err();
         assert!(e.starts_with("line 4:"), "{e}");
+    }
+
+    #[test]
+    fn parser_rejects_non_finite_weight() {
+        for weight in ["NaN", "inf", "-inf", "-1"] {
+            let text = format!(".kernel k tpb=32\n.block weight={weight}\n  FFMA\n");
+            let e = parse(&text).unwrap_err();
+            assert!(
+                e.starts_with("line 2: weight must be finite"),
+                "{weight}: {e}"
+            );
+        }
     }
 }

@@ -51,8 +51,6 @@ pub mod metric {
     /// Operating points resolved below the exact rung of the
     /// degradation ladder (grid-scan or baseline-estimate provenance).
     pub const SOLVER_DEGRADED: &str = "solver.degraded";
-    /// Calibration measurements rejected as outliers or retried.
-    pub const PROFILE_CALIBRATE_RETRIES: &str = "profile.calibrate.retries";
     /// Exact `f`/`ĝ` curve evaluations performed by the solver, summed
     /// per solve (both the dense reference and the fast path emit it, so
     /// the fast path's saving is visible in `xmodel profile`).
@@ -181,7 +179,6 @@ pub fn metric_help(name: &str) -> Option<&'static str> {
         metric::SOLVER_DEGRADED => "operating points resolved below the exact ladder rung",
         metric::SOLVER_CURVE_EVALS => "exact curve evaluations performed by the solver",
         metric::PROFILE_CALIBRATE_SKIPPED => "calibration grid points skipped after fit failure",
-        metric::PROFILE_CALIBRATE_RETRIES => "calibration measurements rejected or retried",
         metric::SWEEP_ITEMS => "grid points dispatched through the sweep executor",
         metric::SWEEP_CHUNKS => "work-stealing chunks executed by the sweep executor",
         metric::FASTPATH_TABLE_BUILDS => "CurveTable tabulations built",
@@ -253,7 +250,6 @@ mod tests {
             super::metric::SWEEP_CHUNKS,
             super::metric::PROFILE_CALIBRATE_SKIPPED,
             super::metric::SOLVER_DEGRADED,
-            super::metric::PROFILE_CALIBRATE_RETRIES,
             super::metric::FASTPATH_TABLE_BUILDS,
             super::metric::FASTPATH_TABLE_EVALS,
             super::metric::FASTPATH_CACHE_HITS,

@@ -7,7 +7,6 @@
 //! same shared-LRU reference cache.
 
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 use xmodel_core::ModelError;
 use xmodel_workloads::concrete::RecordedTraces;
 use xmodel_workloads::locality::measure_hit_rate_streams;
@@ -15,55 +14,6 @@ use xmodel_workloads::TraceSpec;
 
 /// Warp counts sampled when comparing hit curves.
 const KS: [u32; 6] = [1, 2, 4, 8, 16, 32];
-
-/// Robustness knobs for calibration measurements.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CalibrateOptions {
-    /// Attempts per measurement before it is abandoned (≥ 1).
-    pub attempts: u32,
-    /// Sleep before the first retry; doubles per retry (exponential
-    /// backoff, capped at 64× the base). Zero disables sleeping — the
-    /// right setting for deterministic in-process measurements.
-    pub backoff: Duration,
-}
-
-impl Default for CalibrateOptions {
-    fn default() -> Self {
-        CalibrateOptions {
-            attempts: 3,
-            backoff: Duration::ZERO,
-        }
-    }
-}
-
-/// Run `measure` up to `opts.attempts` times with exponential backoff,
-/// returning the first value it accepts (`Some`). Retries are counted on
-/// the `profile.calibrate.retries` metric and traced; `None` means every
-/// attempt was rejected.
-pub fn retry_with_backoff<T>(
-    opts: &CalibrateOptions,
-    mut measure: impl FnMut(u32) -> Option<T>,
-) -> Option<T> {
-    let attempts = opts.attempts.max(1);
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            xmodel_obs::metrics::counter_add(
-                xmodel_obs::names::metric::PROFILE_CALIBRATE_RETRIES,
-                1,
-            );
-            xmodel_obs::event!("calibrate.retry", attempt = attempt);
-            let factor = 1u32 << attempt.min(6);
-            let pause = opts.backoff * factor;
-            if !pause.is_zero() {
-                std::thread::sleep(pause);
-            }
-        }
-        if let Some(v) = measure(attempt) {
-            return Some(v);
-        }
-    }
-    None
-}
 
 /// A hit rate is plausible iff it is a finite probability.
 fn plausible_hit_rate(h: f64) -> bool {
@@ -135,40 +85,38 @@ pub fn curve_rms(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
     (sum / a.len() as f64).sqrt()
 }
 
-/// [`recorded_hit_curve`] with bounded retry per measurement: each point
-/// is re-measured (with backoff) until it is a finite probability;
-/// a point that never yields one is a typed
+/// [`recorded_hit_curve`] with a plausibility check: a point whose hit
+/// rate is not a finite probability is a typed
 /// [`ModelError::NoConvergence`] rather than a silent NaN in the curve.
+/// The measurement is a pure function of its inputs, so it is taken once.
 pub fn recorded_hit_curve_checked(
     traces: &RecordedTraces,
     cache_bytes: u64,
     accesses: usize,
-    opts: &CalibrateOptions,
 ) -> xmodel_core::Result<Vec<(f64, f64)>> {
     KS.iter()
         .map(|&k| {
-            retry_with_backoff(opts, |_| {
-                let h = measure_hit_rate_streams(traces.streams(k), cache_bytes, accesses);
-                plausible_hit_rate(h).then_some((k as f64, h))
-            })
-            .ok_or(ModelError::NoConvergence {
-                routine: "calibrate",
-            })
+            let h = measure_hit_rate_streams(traces.streams(k), cache_bytes, accesses);
+            plausible_hit_rate(h)
+                .then_some((k as f64, h))
+                .ok_or(ModelError::NoConvergence {
+                    routine: "calibrate",
+                })
         })
         .collect()
 }
 
 /// Fallible calibration: like [`calibrate_private_ws`] but with
-/// measurement retry, outlier rejection of implausible grid evaluations,
-/// and a typed error when nothing usable remains.
+/// plausibility checks on the recorded curve, outlier rejection of
+/// implausible grid evaluations, and a typed error when nothing usable
+/// remains.
 pub fn try_calibrate_private_ws(
     traces: &RecordedTraces,
     cache_bytes: u64,
     accesses: usize,
-    opts: &CalibrateOptions,
 ) -> xmodel_core::Result<Calibration> {
     let _span = xmodel_obs::span!(xmodel_obs::names::span::PROFILE_CALIBRATE);
-    let target = recorded_hit_curve_checked(traces, cache_bytes, accesses, opts)?;
+    let target = recorded_hit_curve_checked(traces, cache_bytes, accesses)?;
     let mut best: Option<(TraceSpec, f64)> = None;
     for &ws in &[4u64, 8, 16, 24, 32, 48, 64, 96, 128] {
         for &stream in &[0.0, 0.05, 0.1, 0.2, 0.35, 0.5, 0.7] {
@@ -236,61 +184,34 @@ pub fn try_calibrate_private_ws(
 /// Fit a [`TraceSpec::PrivateWorkingSet`] to a recorded trace by grid
 /// search over working-set size, stream probability and reuse skew.
 ///
-/// Infallible facade over [`try_calibrate_private_ws`] with default
-/// retry options: when calibration fails outright it degrades to the
-/// first grid point with an infinite rms (recorded on the
-/// `profile.calibrate.skipped` metric) rather than panicking.
+/// Infallible facade over [`try_calibrate_private_ws`]: when calibration
+/// fails outright it degrades to the first grid point with an infinite
+/// rms (recorded on the `profile.calibrate.skipped` metric) rather than
+/// panicking.
 pub fn calibrate_private_ws(
     traces: &RecordedTraces,
     cache_bytes: u64,
     accesses: usize,
 ) -> Calibration {
-    try_calibrate_private_ws(traces, cache_bytes, accesses, &CalibrateOptions::default())
-        .unwrap_or_else(|_| {
-            xmodel_obs::event!("calibrate.empty_grid");
-            xmodel_obs::metrics::counter_add(
-                xmodel_obs::names::metric::PROFILE_CALIBRATE_SKIPPED,
-                1,
-            );
-            Calibration {
-                spec: TraceSpec::PrivateWorkingSet {
-                    ws_lines: 4,
-                    stream_prob: 0.0,
-                    reuse_skew: 0.0,
-                },
-                rms: f64::INFINITY,
-                target_curve: recorded_hit_curve(traces, cache_bytes, accesses),
-            }
-        })
+    try_calibrate_private_ws(traces, cache_bytes, accesses).unwrap_or_else(|_| {
+        xmodel_obs::event!("calibrate.empty_grid");
+        xmodel_obs::metrics::counter_add(xmodel_obs::names::metric::PROFILE_CALIBRATE_SKIPPED, 1);
+        Calibration {
+            spec: TraceSpec::PrivateWorkingSet {
+                ws_lines: 4,
+                stream_prob: 0.0,
+                reuse_skew: 0.0,
+            },
+            rms: f64::INFINITY,
+            target_curve: recorded_hit_curve(traces, cache_bytes, accesses),
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use xmodel_workloads::concrete;
-
-    #[test]
-    fn retry_is_bounded_and_returns_first_accepted() {
-        let opts = CalibrateOptions {
-            attempts: 3,
-            backoff: Duration::ZERO,
-        };
-        let mut calls = 0;
-        let got = retry_with_backoff(&opts, |attempt| {
-            calls += 1;
-            (attempt == 2).then_some(attempt)
-        });
-        assert_eq!(got, Some(2));
-        assert_eq!(calls, 3);
-
-        let mut calls = 0;
-        let got: Option<u32> = retry_with_backoff(&opts, |_| {
-            calls += 1;
-            None
-        });
-        assert_eq!(got, None);
-        assert_eq!(calls, 3, "exhausted budget must stop");
-    }
 
     #[test]
     fn outlier_rejection_drops_implausible_points() {
@@ -311,8 +232,7 @@ mod tests {
     fn try_calibrate_agrees_with_infallible_facade() {
         let traces = concrete::spmv_csr(1024, 8, 8, 7);
         let a = calibrate_private_ws(&traces, 8 * 1024, 2_000);
-        let b = try_calibrate_private_ws(&traces, 8 * 1024, 2_000, &CalibrateOptions::default())
-            .unwrap();
+        let b = try_calibrate_private_ws(&traces, 8 * 1024, 2_000).unwrap();
         assert_eq!(a, b);
         assert!(b.rms.is_finite());
     }

@@ -10,7 +10,9 @@
 
 use crate::config::{SimConfig, SimWorkload};
 use crate::dram::Dram;
-use crate::sm::{Sm, TAG_SM_BITS, TAG_SM_SHIFT};
+use crate::mem::{TAG_SM_BITS, TAG_SM_SHIFT};
+use crate::run::Driver;
+use crate::sm::Sm;
 use crate::stats::SimStats;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -106,13 +108,11 @@ impl ChipSim {
         for inbox in &mut self.inboxes {
             inbox.clear();
         }
-        let direct = 1u64 << 63;
         let sm_mask = ((1u64 << TAG_SM_BITS) - 1) << TAG_SM_SHIFT;
         for &tag in &self.route_buf {
             let sm = ((tag & sm_mask) >> TAG_SM_SHIFT) as usize;
-            // Strip the SM bits; keep the direct-wake bit.
-            let local = tag & !(sm_mask) & !direct | (tag & direct);
-            self.inboxes[sm].push(local);
+            // Strip the SM bits; the direct-wake bit lies above them.
+            self.inboxes[sm].push(tag & !sm_mask);
         }
         for (sm, inbox) in self.sms.iter_mut().zip(&self.inboxes) {
             sm.step_with(inbox);
@@ -124,31 +124,30 @@ impl ChipSim {
     /// return per-SM statistics.
     // xlint: determinism-root
     pub fn run(&mut self, warmup: u64, measure: u64) -> Vec<SimStats> {
-        let _span = xmodel_obs::span!(xmodel_obs::names::span::SIM_CHIP);
-        for sm in &mut self.sms {
-            sm.set_measuring(false);
-        }
-        {
-            let _warm = xmodel_obs::span!(xmodel_obs::names::span::SIM_WARMUP);
-            for _ in 0..warmup {
-                self.step();
-            }
-        }
-        for sm in &mut self.sms {
-            sm.set_measuring(true);
-        }
-        {
-            let _meas = xmodel_obs::span!(xmodel_obs::names::span::SIM_MEASURE);
-            for _ in 0..measure {
-                self.step();
-            }
-        }
+        crate::run::run(self, xmodel_obs::names::span::SIM_CHIP, warmup, measure);
         self.sms.iter().map(|s| s.stats().clone()).collect()
     }
 
     /// Aggregate chip MS throughput (requests/cycle across all SMs).
     pub fn total_ms_throughput(stats: &[SimStats]) -> f64 {
         stats.iter().map(SimStats::ms_throughput).sum()
+    }
+}
+
+impl Driver for ChipSim {
+    fn measure(&mut self, on: bool) {
+        for sm in &mut self.sms {
+            sm.set_measuring(on);
+        }
+    }
+
+    fn advance(&mut self, _most: u64) -> u64 {
+        self.step();
+        1
+    }
+
+    fn completed(&self) -> u64 {
+        self.sms.iter().map(Sm::completed).sum()
     }
 }
 

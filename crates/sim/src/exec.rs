@@ -8,30 +8,32 @@
 //! `BAR` barriers with the other warps of their thread block — behaviour
 //! the scalar `(Z, E)` pair cannot express (visible in the `nw`/`lud`
 //! workloads). Comparing the two modes quantifies what the paper's
-//! three-parameter application abstraction loses.
+//! three-parameter application abstraction loses. Below the warps, it
+//! shares [`crate::Sm`]'s memory system, fault recovery included.
 
-use crate::cache::{Access, L1Cache, SimpleCache};
 use crate::config::SimConfig;
-use crate::dram::Dram;
+use crate::mem::MemSide;
+use crate::probe::{ProbeCursor, SNAPSHOT_INTERVAL};
 use crate::stats::SimStats;
+use crate::{FaultCounters, FaultSpec, SimError, Watchdog};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use xmodel_isa::{Kernel, MemSpace, OpClass, Opcode};
 use xmodel_workloads::{AddressStream, TraceSpec};
 
 /// Cycles an `LDS`/`STS` access keeps a warp waiting.
 const SMEM_LATENCY: u64 = 24;
 
+/// A warp's state, in the order the probe counts them: computing,
+/// queued, waiting, stalled.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum WarpState {
     /// Executing instructions.
     Running,
-    /// Waiting for a memory return (global or shared path).
-    Waiting,
     /// Parked at a barrier until the block arrives.
     AtBarrier,
+    /// Waiting for a memory return (global or shared path).
+    Waiting,
     /// Memory request rejected (MSHRs full); retry.
     Stalled,
 }
@@ -47,8 +49,6 @@ struct WarpCtx {
     stream: Box<dyn AddressStream>,
     rng: SmallRng,
     pending_addr: u64,
-    /// Thread-block this warp belongs to (for barriers).
-    cta: usize,
 }
 
 /// An SM executing kernel IR.
@@ -68,36 +68,32 @@ pub struct IrSm {
     kernel: Kernel,
     warps: Vec<WarpCtx>,
     warps_per_cta: usize,
-    l1: Option<L1Cache>,
-    l2: Option<(SimpleCache, Dram)>,
-    dram: Dram,
-    /// `(cycle, warp, is_global_request)` returns.
-    return_queue: BinaryHeap<Reverse<(u64, u32, bool)>>,
+    mem: MemSide,
     cycle: u64,
     rr: usize,
     measuring: bool,
     stats: SimStats,
-    drain_buf: Vec<u64>,
-    /// Construction seed, recorded in the simtrace probe header.
-    seed: u64,
-    /// Kernel compute intensity `z` extracted once at construction for
-    /// the probe header (may be infinite for compute-only kernels).
-    kernel_z: f64,
-    /// Kernel ILP width `e`, likewise extracted once.
-    kernel_e: f64,
     /// Simtrace probe cursor — tracing-only side state; never read by
     /// the simulation path.
-    probe: crate::probe::ProbeCursor,
+    probe: ProbeCursor,
 }
-
-const TAG_DIRECT: u64 = 1 << 63;
 
 impl IrSm {
     /// Build an IR-driven SM running `warps` copies of `kernel`, with
     /// global addresses drawn from `trace`.
+    ///
+    /// # Panics
+    ///
+    /// With no warps, or a kernel a warp cannot walk: one with an empty
+    /// block, or with no block of positive weight.
     pub fn new(cfg: &SimConfig, kernel: &Kernel, trace: TraceSpec, warps: u32, seed: u64) -> Self {
-        assert!(warps >= 1);
-        assert!(!kernel.blocks.is_empty());
+        let blocks = &kernel.blocks;
+        assert!(warps >= 1, "need at least one warp");
+        assert!(
+            blocks.iter().all(|b| !b.insts.is_empty()) && blocks.iter().any(|b| b.weight > 0.0),
+            "kernel {} has an empty block or no block of positive weight",
+            kernel.name
+        );
         let analysis = kernel.analyze();
         let warps_per_cta = kernel.warps_per_block().max(1) as usize;
         let ctxs = (0..warps)
@@ -113,7 +109,6 @@ impl IrSm {
                     stream: trace.instantiate(w, seed),
                     rng,
                     pending_addr: 0,
-                    cta: w as usize / warps_per_cta,
                 }
             })
             .collect();
@@ -122,48 +117,17 @@ impl IrSm {
             kernel: kernel.clone(),
             warps: ctxs,
             warps_per_cta,
-            l1: cfg.l1.map(L1Cache::new),
-            l2: cfg.l2.map(|l2| {
-                (
-                    SimpleCache::new(l2.capacity_bytes, 128),
-                    Dram::new(crate::config::DramConfig {
-                        latency: l2.latency,
-                        bytes_per_cycle: l2.bytes_per_cycle,
-                    }),
-                )
-            }),
-            dram: Dram::new(cfg.dram),
-            return_queue: BinaryHeap::new(),
+            mem: MemSide::new(cfg, warps),
             cycle: 0,
             rr: 0,
             measuring: false,
             stats: SimStats::new(warps),
-            drain_buf: Vec::new(),
-            seed,
-            kernel_z: analysis.intensity,
-            kernel_e: analysis.ilp,
-            probe: crate::probe::ProbeCursor::default(),
+            probe: ProbeCursor::new(warps, seed, analysis.intensity, analysis.ilp),
         }
-    }
-
-    fn bypasses(&self, warp: u32) -> bool {
-        self.l1.is_none()
-            || (warp as f64) >= (1.0 - self.cfg.bypass_fraction) * self.warps.len() as f64
-    }
-
-    fn submit_mem(&mut self, now: u64, addr: u64, tag: u64) {
-        let bytes = self.cfg.request_bytes.round().max(1.0) as u64;
-        if let Some((cache, channel)) = self.l2.as_mut() {
-            if cache.probe_insert(addr) {
-                channel.submit(now, bytes, tag);
-                return;
-            }
-        }
-        self.dram.submit(now, bytes, tag);
     }
 
     /// Advance the warp's control flow past its current instruction.
-    fn advance(&mut self, wi: usize) {
+    fn next_inst(&mut self, wi: usize) {
         let w = &mut self.warps[wi];
         w.pc += 1;
         let block_len = self.kernel.blocks[w.block].insts.len();
@@ -177,21 +141,17 @@ impl IrSm {
         }
         // Next block (skipping zero-trip blocks), wrapping to restart the
         // kernel for steady-state measurement.
-        loop {
+        w.trips_left = 0;
+        while w.trips_left == 0 {
             w.block = (w.block + 1) % self.kernel.blocks.len();
-            let trips = trip_count(self.kernel.blocks[w.block].weight, &mut w.rng);
-            if trips > 0 && !self.kernel.blocks[w.block].insts.is_empty() {
-                w.trips_left = trips;
-                break;
-            }
+            w.trips_left = trip_count(self.kernel.blocks[w.block].weight, &mut w.rng);
         }
     }
 
     fn wake(&mut self, warp: u32, is_global: bool) {
         let wi = warp as usize;
         if self.warps[wi].state != WarpState::Waiting {
-            // Duplicate or stale completion (possible only under fault
-            // injection): absorb it rather than corrupting the warp.
+            // A duplicate or stale completion under fault injection.
             self.stats.spurious_wakes += 1;
             return;
         }
@@ -200,20 +160,19 @@ impl IrSm {
             self.stats.requests_completed += 1;
             self.stats.bytes_delivered += self.cfg.request_bytes.round().max(1.0) as u64;
         }
-        self.advance(wi);
+        self.next_inst(wi);
     }
 
+    /// Release thread block `cta` (warps `cta·w .. (cta+1)·w` for `w`
+    /// warps per block) once all its warps are at the barrier.
     fn release_barrier_if_ready(&mut self, cta: usize) {
-        let members: Vec<usize> = (0..self.warps.len())
-            .filter(|&i| self.warps[i].cta == cta)
-            .collect();
-        if members
-            .iter()
-            .all(|&i| self.warps[i].state == WarpState::AtBarrier)
-        {
+        let wpc = self.warps_per_cta;
+        let members = cta * wpc..(cta * wpc + wpc).min(self.warps.len());
+        let parked = |w: &WarpCtx| w.state == WarpState::AtBarrier;
+        if self.warps[members.clone()].iter().all(parked) {
             for i in members {
                 self.warps[i].state = WarpState::Running;
-                self.advance(i);
+                self.next_inst(i);
             }
         }
     }
@@ -223,36 +182,8 @@ impl IrSm {
         let now = self.cycle;
 
         // 1. Memory completions (DRAM + L2 channel + smem/hit returns).
-        self.drain_buf.clear();
-        let mut buf = std::mem::take(&mut self.drain_buf);
-        self.dram.drain_completions(now, &mut buf);
-        if let Some((_, channel)) = self.l2.as_mut() {
-            channel.drain_completions(now, &mut buf);
-        }
-        for tag in buf.drain(..) {
-            if tag & TAG_DIRECT != 0 {
-                self.wake((tag & !TAG_DIRECT) as u32, true);
-            } else {
-                match self
-                    .l1
-                    .as_mut()
-                    .and_then(|l1| l1.try_complete_fill(tag as usize))
-                {
-                    Some(waiters) => {
-                        for w in waiters {
-                            self.wake(w, true);
-                        }
-                    }
-                    None => self.stats.spurious_wakes += 1,
-                }
-            }
-        }
-        self.drain_buf = buf;
-        while let Some(&Reverse((t, w, is_global))) = self.return_queue.peek() {
-            if t > now {
-                break;
-            }
-            self.return_queue.pop();
+        self.mem.complete(now, &[], &mut self.stats);
+        while let Some((w, is_global)) = self.mem.next_wake() {
             self.wake(w, is_global);
         }
 
@@ -262,7 +193,7 @@ impl IrSm {
         for wi in 0..n {
             if self.warps[wi].state == WarpState::Stalled && lsu_used < self.cfg.lsu_per_cycle {
                 lsu_used += 1;
-                self.issue_memory(wi, now);
+                self.issue_global(wi, now);
             }
         }
 
@@ -296,7 +227,7 @@ impl IrSm {
                         retired += 1.0;
                         credit -= 1.0;
                         self.warps[wi].pending_addr = self.warps[wi].stream.next_addr();
-                        self.issue_memory(wi, now);
+                        self.issue_global(wi, now);
                         // pc stays on the load; it advances at wake-up.
                         break;
                     }
@@ -306,20 +237,19 @@ impl IrSm {
                         retired += 1.0;
                         credit -= 1.0;
                         self.warps[wi].state = WarpState::Waiting;
-                        self.return_queue
-                            .push(Reverse((now + SMEM_LATENCY, wi as u32, false)));
+                        self.mem.push_return(now + SMEM_LATENCY, wi as u32, false);
                         break;
                     }
                     OpClass::Control if inst.opcode == Opcode::BAR => {
                         self.warps[wi].state = WarpState::AtBarrier;
-                        barriers_hit.push(self.warps[wi].cta);
+                        barriers_hit.push(wi / self.warps_per_cta);
                         // pc advances when the barrier releases.
                         break;
                     }
                     _ => {
                         retired += 1.0;
                         credit -= 1.0;
-                        self.advance(wi);
+                        self.next_inst(wi);
                     }
                 }
                 // Continue the group only while the next inst pairs with
@@ -338,171 +268,66 @@ impl IrSm {
             self.release_barrier_if_ready(cta);
         }
 
-        // 4. Accounting.
+        // 4. Accounting: warps at a barrier count as queued, but in CS.
         if self.measuring {
-            self.stats.cycles += 1;
-            self.stats.ops_retired += retired;
-            let (mut computing, mut queued, mut waiting, mut stalled) = (0u32, 0u32, 0u32, 0u32);
+            let mut counts = [0u32; 4];
             for w in &self.warps {
-                match w.state {
-                    WarpState::Running => computing += 1,
-                    WarpState::AtBarrier => queued += 1,
-                    WarpState::Waiting => waiting += 1,
-                    WarpState::Stalled => stalled += 1,
-                }
+                counts[w.state as usize] += 1;
             }
-            let k = (waiting + stalled) as usize;
-            self.stats.sum_k += k as f64;
-            self.stats.sum_x += (n - k) as f64;
-            self.stats.k_histogram[k] += 1;
+            let [_, _, waiting, stalled] = counts;
+            let k = waiting + stalled;
+            self.stats.count_cycle(retired, k as usize, n);
             // Trace snapshot (read-only; see `Sm::step_with`).
-            if xmodel_obs::enabled() && now % crate::sm::SNAPSHOT_INTERVAL == 0 {
-                xmodel_obs::event!(
-                    "sim.snapshot",
-                    cycle = now,
-                    k = k,
-                    x = n - k,
-                    mshrs_busy = self.l1.as_ref().map_or(0, L1Cache::mshrs_busy),
-                    dram_inflight = self.dram.in_flight(),
-                    dram_backlog = self.dram.channel_free().saturating_sub(now),
-                    hit_rate = self.stats.hit_rate(),
-                );
-                self.probe.emit(
-                    &crate::probe::HeaderCtx {
-                        sm: 0,
-                        interval: crate::sm::SNAPSHOT_INTERVAL,
-                        warps: n as u32,
-                        seed: self.seed,
-                        z: self.kernel_z,
-                        e: self.kernel_e,
-                    },
-                    &crate::probe::StateSample {
-                        cycle: now,
-                        computing,
-                        queued,
-                        waiting,
-                        stalled,
-                        k: k as u32,
-                        dram_inflight: self.dram.in_flight(),
-                        dram_backlog: self.dram.channel_free().saturating_sub(now),
-                    },
-                    &self.stats,
-                );
+            if xmodel_obs::enabled() && now % SNAPSHOT_INTERVAL == 0 {
+                let depth = self.mem.depth(now);
+                self.probe
+                    .sample(SNAPSHOT_INTERVAL, now, counts, k, depth, &self.stats);
             }
         }
         self.cycle += 1;
     }
 
-    /// Issue the pending global request of warp `wi` into the hierarchy.
-    fn issue_memory(&mut self, wi: usize, now: u64) {
-        let addr = self.warps[wi].pending_addr;
-        if self.bypasses(wi as u32) {
-            self.submit_mem(now, addr, TAG_DIRECT | wi as u64);
-            self.warps[wi].state = WarpState::Waiting;
-            return;
-        }
-        // xlint: allow(no-panic-in-lib, state-machine invariant: Cached access is only emitted when an L1 is configured)
-        let l1 = self.l1.as_mut().expect("cached warp without L1");
-        match l1.access(addr, wi as u32) {
-            Access::Hit => {
-                let lat = self.cfg.l1.map(|c| c.hit_latency).unwrap_or(1);
-                self.return_queue
-                    .push(Reverse((now + lat, wi as u32, true)));
-                self.warps[wi].state = WarpState::Waiting;
-                if self.measuring {
-                    self.stats.l1_hits += 1;
-                }
-            }
-            Access::MissAllocated { mshr } => {
-                self.submit_mem(now, addr, mshr as u64);
-                self.warps[wi].state = WarpState::Waiting;
-                if self.measuring {
-                    self.stats.l1_misses += 1;
-                }
-            }
-            Access::MissMerged { .. } => {
-                self.warps[wi].state = WarpState::Waiting;
-                if self.measuring {
-                    self.stats.l1_merges += 1;
-                }
-            }
-            Access::MshrFull => {
-                self.warps[wi].state = WarpState::Stalled;
-                if self.measuring {
-                    self.stats.mshr_stalls += 1;
-                }
-            }
-        }
+    /// Hand warp `wi`'s pending global request to the memory side; with
+    /// no MSHR free the warp stalls and retries through the LSU.
+    fn issue_global(&mut self, wi: usize, now: u64) {
+        let (addr, measuring) = (self.warps[wi].pending_addr, self.measuring);
+        self.warps[wi].state = match self.mem.issue(now, wi, addr, measuring, &mut self.stats) {
+            true => WarpState::Waiting,
+            false => WarpState::Stalled,
+        };
     }
 
-    /// Install a fault injector on the DRAM channel. Latency spikes,
-    /// bandwidth throttling and duplicated completions are tolerated
-    /// (duplicates are absorbed by the wake guard); dropped completions
-    /// permanently park the affected warps — pair with
-    /// [`IrSm::run_watched`] so such a hang surfaces as a typed error.
-    pub fn set_faults(&mut self, spec: &crate::fault::FaultSpec) {
-        if spec.perturbs_memory() {
-            self.dram.set_faults(crate::fault::FaultInjector::new(spec));
-        }
+    /// Inject `spec`'s memory faults on the DRAM channel, recovered as
+    /// [`crate::Sm::with_faults`] recovers them. A spec that drops every
+    /// completion still stalls the run: pair it with [`IrSm::run_watched`]
+    /// to surface that as a typed error.
+    pub fn set_faults(&mut self, spec: &FaultSpec) {
+        self.mem.set_faults(spec);
     }
 
     /// Faults injected so far, if [`IrSm::set_faults`] was called.
-    pub fn fault_counters(&self) -> Option<crate::fault::FaultCounters> {
-        self.dram.fault_counters()
+    pub fn fault_counters(&self) -> Option<FaultCounters> {
+        self.mem.fault_counters()
     }
 
     /// Run `warmup` unmeasured cycles then `measure` measured ones.
     // xlint: determinism-root
     pub fn run(&mut self, warmup: u64, measure: u64) -> &SimStats {
-        let _span = xmodel_obs::span!(xmodel_obs::names::span::SIM_RUN_IR);
-        self.measuring = false;
-        {
-            let _warm = xmodel_obs::span!(xmodel_obs::names::span::SIM_WARMUP);
-            for _ in 0..warmup {
-                self.step();
-            }
-        }
-        self.measuring = true;
-        {
-            let _meas = xmodel_obs::span!(xmodel_obs::names::span::SIM_MEASURE);
-            for _ in 0..measure {
-                self.step();
-            }
-        }
+        crate::run::run(self, xmodel_obs::names::span::SIM_RUN_IR, warmup, measure);
         &self.stats
     }
 
-    /// [`IrSm::run`] under a [`crate::Watchdog`] (see `Sm::run_watched`):
+    /// [`IrSm::run`] under a [`Watchdog`] (see `Sm::run_watched`):
     /// budget overruns and fault-induced hangs become typed errors.
     // xlint: determinism-root
     pub fn run_watched(
         &mut self,
         warmup: u64,
         measure: u64,
-        watchdog: &crate::Watchdog,
-    ) -> Result<&SimStats, crate::SimError> {
-        let _span = xmodel_obs::span!(xmodel_obs::names::span::SIM_RUN_IR);
-        // xlint: allow(nondeterminism-in-result-path, watchdog wall-clock budget; overruns abort with a typed error and never alter stats)
-        let started = std::time::Instant::now();
-        let total = warmup + measure;
-        let mut last_completed = self.stats.requests_completed;
-        let mut last_progress = 0u64;
-        self.measuring = false;
-        for i in 0..total {
-            if i == warmup {
-                self.measuring = true;
-                last_progress = i;
-            }
-            self.step();
-            if i % 512 == 0 {
-                if self.stats.requests_completed != last_completed {
-                    last_completed = self.stats.requests_completed;
-                    last_progress = i;
-                }
-                let stalled = if self.measuring { i - last_progress } else { 0 };
-                watchdog.check(i + 1, self.stats.requests_completed, stalled, started)?;
-            }
-        }
+        watchdog: &Watchdog,
+    ) -> Result<&SimStats, SimError> {
+        let span = xmodel_obs::names::span::SIM_RUN_IR;
+        crate::run::run_watched(self, span, warmup, measure, watchdog)?;
         Ok(&self.stats)
     }
 
@@ -510,10 +335,20 @@ impl IrSm {
     pub fn stats(&self) -> &SimStats {
         &self.stats
     }
+}
 
-    /// Warps per thread block (barrier scope).
-    pub fn warps_per_cta(&self) -> usize {
-        self.warps_per_cta
+impl crate::run::Driver for IrSm {
+    fn measure(&mut self, on: bool) {
+        self.measuring = on;
+    }
+
+    fn advance(&mut self, _most: u64) -> u64 {
+        self.step();
+        1
+    }
+
+    fn completed(&self) -> u64 {
+        self.stats.requests_completed
     }
 }
 
@@ -663,6 +498,28 @@ mod tests {
         let s = simulate_ir(&cfg(), &k, stream_trace(), 8, 2_000, 10_000);
         assert_eq!(s.requests_completed, 0, "smem must not touch DRAM");
         assert!(s.cs_throughput() > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel gap has an empty block")]
+    fn kernel_with_an_empty_block_is_rejected() {
+        use xmodel_isa::Opcode::*;
+        let k = xmodel_isa::Kernel::builder("gap", 32)
+            .block(1.0, |b| b)
+            .block(10.0, |b| b.inst(FFMA))
+            .build();
+        IrSm::new(&cfg(), &k, stream_trace(), 4, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "no block of positive weight")]
+    fn kernel_with_no_positive_weight_is_rejected() {
+        use xmodel_isa::Opcode::*;
+        let k = xmodel_isa::Kernel::builder("idle", 32)
+            .block(0.0, |b| b.inst(FFMA))
+            .block(0.0, |b| b.inst(IADD).inst(BAR))
+            .build();
+        IrSm::new(&cfg(), &k, stream_trace(), 4, 1);
     }
 
     #[test]

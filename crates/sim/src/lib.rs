@@ -20,9 +20,11 @@
 //! line granularity) so that model-vs-simulator comparisons are meaningful
 //! validation rather than tautology.
 //!
-//! [`Sm`]'s run loops jump over cycles in which every warp waits on
-//! memory, and its scheduler visits only the warps that can act; the
-//! statistics equal those of stepping every cycle bit for bit (see
+//! [`Sm`] and the kernel-IR driver [`IrSm`] share one memory system, down
+//! to the ledger that re-submits completions lost to drop faults, and one
+//! set of run loops. [`Sm`]'s loops jump over cycles in which every warp
+//! waits on memory, and its scheduler visits only the warps that can act;
+//! the statistics equal those of stepping every cycle bit for bit (see
 //! [`sm`]). [`IrSm`] and [`ChipSim`] step every cycle.
 //!
 //! ```
@@ -54,7 +56,9 @@ pub mod dram;
 pub mod error;
 pub mod exec;
 pub mod fault;
+pub(crate) mod mem;
 pub(crate) mod probe;
+pub(crate) mod run;
 pub mod sm;
 pub mod stats;
 

@@ -2,11 +2,11 @@
 //!
 //! Both simulators ([`crate::sm::Sm`] and [`crate::exec::IrSm`]) sample
 //! their warp-state occupancy and memory-subsystem depth once per
-//! snapshot interval while measuring. This module turns those samples
-//! into `sim.probe` / `sim.probe_header` trace events plus the
-//! registered `sim.*` metrics, and owns the only mutable probe state —
-//! a cursor of previously sampled counters used to emit per-interval
-//! deltas.
+//! snapshot interval while measuring, through [`ProbeCursor::sample`].
+//! This module turns those samples into `sim.snapshot`, `sim.probe` and
+//! `sim.probe_header` trace events plus the registered `sim.*` metrics,
+//! and owns the only mutable probe state — a cursor of previously
+//! sampled counters used to emit per-interval deltas.
 //!
 //! Determinism contract: everything here *reads* simulator state. The
 //! cursor is written only from inside `xmodel_obs::enabled()` blocks and
@@ -15,84 +15,96 @@
 
 use crate::stats::{ProbeCounters, SimStats};
 
-/// Static per-run context stamped on the (lazily emitted) header frame.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HeaderCtx {
-    /// SM index (0 for single-SM runs; set by the chip driver).
-    pub sm: u16,
-    /// Cycles between probe frames.
-    pub interval: u64,
-    /// Resident warps `n`.
-    pub warps: u32,
-    /// RNG seed the SM was built with.
-    pub seed: u64,
-    /// Compute intensity `z` (warp-ops per request).
-    pub z: f64,
-    /// ILP width `e`.
-    pub e: f64,
-}
-
-/// Instantaneous warp-state occupancy and memory-depth sample.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StateSample {
-    /// Measured cycle index of this frame.
-    pub cycle: u64,
-    /// Warps executing in CS.
-    pub computing: u32,
-    /// Warps holding a ready request not yet accepted by the LSU.
-    pub queued: u32,
-    /// Warps with a request in flight.
-    pub waiting: u32,
-    /// Warps rejected for MSHR exhaustion (retrying).
-    pub stalled: u32,
-    /// Warps counted in MS — matches the `sum_k` accounting exactly.
-    pub k: u32,
-    /// Requests currently in flight in the DRAM model.
-    pub dram_inflight: usize,
-    /// Cycles until the DRAM channel frees (bandwidth backlog).
-    pub dram_backlog: u64,
-}
+/// Cycle period of `sim.snapshot` trace events when tracing is live and
+/// no explicit `trajectory_interval` is set.
+pub(crate) const SNAPSHOT_INTERVAL: u64 = 256;
 
 /// Per-SM probe cursor: lazily emits the header, then differences the
 /// monotone counters between frames.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct ProbeCursor {
+    /// SM index (0 for single-SM runs; set by the chip driver).
+    pub sm: u16,
+    /// Resident warps `n`.
+    warps: u32,
+    /// RNG seed the SM was built with.
+    seed: u64,
+    // Compute intensity `z` (warp-ops per request) and ILP width `e`.
+    z: f64,
+    e: f64,
     header_emitted: bool,
     prev: ProbeCounters,
 }
 
 impl ProbeCursor {
-    /// Emit one probe frame (and, on the first call, the header). Call
-    /// only under `xmodel_obs::enabled()` while measuring.
-    pub(crate) fn emit(&mut self, header: &HeaderCtx, state: &StateSample, stats: &SimStats) {
+    /// The cursor of SM 0 running `warps` warps of intensity `z` and ILP
+    /// `e`, built with `seed`.
+    pub(crate) fn new(warps: u32, seed: u64, z: f64, e: f64) -> Self {
+        Self {
+            sm: 0,
+            warps,
+            seed,
+            z,
+            e,
+            header_emitted: false,
+            prev: ProbeCounters::default(),
+        }
+    }
+
+    /// Sample measured cycle `now` of a run sampled every `interval`
+    /// cycles: emit its `sim.snapshot` event, then its probe frame (and,
+    /// on the first call, the header). `counts` holds the warps
+    /// computing, queued, waiting and stalled, `k` of them in MS; `depth`
+    /// is the memory side's [`crate::mem::MemSide::depth`]. Call only
+    /// under `xmodel_obs::enabled()` while measuring.
+    pub(crate) fn sample(
+        &mut self,
+        interval: u64,
+        now: u64,
+        counts: [u32; 4],
+        k: u32,
+        (mshrs_busy, dram_inflight, dram_backlog): (usize, usize, u64),
+        stats: &SimStats,
+    ) {
         use xmodel_obs::names::metric;
+        xmodel_obs::event!(
+            "sim.snapshot",
+            cycle = now,
+            k = k,
+            x = self.warps - k,
+            mshrs_busy = mshrs_busy,
+            dram_inflight = dram_inflight,
+            dram_backlog = dram_backlog,
+            hit_rate = stats.hit_rate(),
+        );
         if !self.header_emitted {
             self.header_emitted = true;
             xmodel_obs::event!(
                 "sim.probe_header",
                 schema = xmodel_obs::simtrace::SCHEMA,
-                sm = header.sm,
-                interval = header.interval,
-                warps = header.warps,
-                seed = header.seed,
-                z = header.z,
-                e = header.e,
+                sm = self.sm,
+                interval = interval,
+                warps = self.warps,
+                seed = self.seed,
+                z = self.z,
+                e = self.e,
             );
         }
-        let now = stats.probe_counters();
-        let d = now.delta(&self.prev);
-        self.prev = now;
+        let [computing, queued, waiting, stalled] = counts;
+        let now_counters = stats.probe_counters();
+        let d = now_counters.delta(&self.prev);
+        self.prev = now_counters;
         xmodel_obs::event!(
             "sim.probe",
-            cycle = state.cycle,
-            sm = header.sm,
-            computing = state.computing,
-            queued = state.queued,
-            waiting = state.waiting,
-            stalled = state.stalled,
-            k = state.k,
-            dram_inflight = state.dram_inflight as u64,
-            dram_backlog = state.dram_backlog,
+            cycle = now,
+            sm = self.sm,
+            computing = computing,
+            queued = queued,
+            waiting = waiting,
+            stalled = stalled,
+            k = k,
+            dram_inflight = dram_inflight as u64,
+            dram_backlog = dram_backlog,
             d_cycles = d.cycles,
             d_ops = d.ops,
             d_requests = d.requests,
@@ -109,12 +121,12 @@ impl ProbeCursor {
         xmodel_obs::metrics::histogram_observe(
             metric::SIM_DRAM_INFLIGHT,
             &xmodel_obs::simtrace::QUEUE_DEPTH_EDGES,
-            state.dram_inflight as f64,
+            dram_inflight as f64,
         );
         xmodel_obs::metrics::histogram_observe(
             metric::SIM_DRAM_BACKLOG,
             &xmodel_obs::simtrace::QUEUE_DEPTH_EDGES,
-            state.dram_backlog as f64,
+            dram_backlog as f64,
         );
     }
 }
@@ -127,34 +139,17 @@ mod tests {
     fn cursor_differences_counters_and_emits_header_once() {
         let sink = xmodel_obs::MemSink::new();
         xmodel_obs::install(Box::new(sink.clone()));
-        let mut cursor = ProbeCursor::default();
-        let header = HeaderCtx {
-            sm: 3,
-            interval: 256,
-            warps: 8,
-            seed: 42,
-            z: 10.0,
-            e: 1.5,
-        };
+        let mut cursor = ProbeCursor::new(8, 42, 10.0, 1.5);
+        cursor.sm = 3;
         let mut stats = SimStats::new(8);
         stats.cycles = 256;
         stats.ops_retired = 100.0;
         stats.requests_completed = 10;
-        let state = StateSample {
-            cycle: 256,
-            computing: 5,
-            queued: 1,
-            waiting: 2,
-            stalled: 0,
-            k: 3,
-            dram_inflight: 4,
-            dram_backlog: 7,
-        };
-        cursor.emit(&header, &state, &stats);
+        cursor.sample(256, 256, [5, 1, 2, 0], 3, (0, 4, 7), &stats);
         stats.cycles = 512;
         stats.ops_retired = 180.0;
         stats.requests_completed = 19;
-        cursor.emit(&header, &state, &stats);
+        cursor.sample(256, 512, [5, 1, 2, 0], 3, (0, 4, 7), &stats);
         let lines = sink.lines();
         xmodel_obs::finish(None);
         // The sink is process-global and other tests may simulate while

@@ -19,61 +19,19 @@
 //! Fault draws are made only in `Dram::submit`, which runs only inside a
 //! stepped cycle.
 
-use crate::cache::{Access, L1Cache, SimpleCache};
 use crate::config::{SimConfig, SimWorkload};
 use crate::dram::Dram;
 use crate::error::{SimError, Watchdog};
-use crate::fault::{FaultCounters, FaultInjector, FaultSpec};
+use crate::fault::{FaultCounters, FaultSpec};
+use crate::mem::MemSide;
+use crate::probe::{ProbeCursor, SNAPSHOT_INTERVAL};
+use crate::run::Driver;
 use crate::stats::SimStats;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
 use std::rc::Rc;
 use xmodel_workloads::AddressStream;
-
-/// Tag bit marking a DRAM completion that wakes a warp directly (bypass or
-/// no-L1) rather than completing an MSHR fill.
-const TAG_DIRECT: u64 = 1 << 63;
-
-/// Bit offset where a chip-level simulation stores the SM id in shared
-/// DRAM tags (see [`crate::chip`]).
-pub(crate) const TAG_SM_SHIFT: u32 = 48;
-
-/// Width of the SM id field: bits `TAG_SM_SHIFT..63`, below [`TAG_DIRECT`].
-pub(crate) const TAG_SM_BITS: u32 = 63 - TAG_SM_SHIFT;
-
-/// Cycle period of `sim.snapshot` trace events when tracing is live and
-/// no explicit `trajectory_interval` is set.
-pub(crate) const SNAPSHOT_INTERVAL: u64 = 256;
-
-/// Cycle period of the lost-request recovery sweep under fault injection.
-const RECOVERY_SWEEP: u64 = 256;
-
-/// Cycle stride between watchdog budget checks in [`Sm::run_watched`].
-const WATCHDOG_STRIDE: u64 = 512;
-
-/// A DRAM attachment: private channel, or a chip-shared channel the SM
-/// submits to with its id encoded in the tag (completions are routed back
-/// by the chip driver).
-enum DramPort {
-    Own(Box<Dram>),
-    Shared(Rc<RefCell<Dram>>, u64),
-}
-
-impl DramPort {
-    fn submit(&mut self, now: u64, bytes: u64, tag: u64) {
-        match self {
-            DramPort::Own(d) => {
-                d.submit(now, bytes, tag);
-            }
-            DramPort::Shared(d, smbits) => {
-                d.borrow_mut().submit(now, bytes, tag | *smbits);
-            }
-        }
-    }
-}
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum WarpState {
@@ -214,35 +172,18 @@ pub struct Sm {
     cfg: SimConfig,
     wl: SimWorkload,
     warps: Vec<Warp>,
-    l1: Option<L1Cache>,
-    l2: Option<(SimpleCache, Dram)>,
-    dram: DramPort,
-    hit_queue: BinaryHeap<Reverse<(u64, u32)>>,
+    mem: MemSide,
     census: Census,
     cycle: u64,
     rr: usize,
     lsu_rr: usize,
     measuring: bool,
     stats: SimStats,
-    drain_buf: Vec<u64>,
     /// Sample the spatial trajectory every this many cycles (0 = never).
     pub trajectory_interval: u64,
-    /// True when a fault injector may lose completions: enables the
-    /// outstanding-request ledger and the recovery sweep.
-    fault_active: bool,
-    /// In-flight requests by tag → `(submit_cycle, addr)`; only populated
-    /// while `fault_active` (a `BTreeMap` so sweep order is deterministic).
-    outstanding: BTreeMap<u64, (u64, u64)>,
-    /// A request older than this many cycles is presumed lost and
-    /// re-submitted with the same tag.
-    recovery_timeout: u64,
-    /// SM index stamped on probe frames (0 unless chip-attached).
-    sm_id: u16,
-    /// Construction seed, recorded in the simtrace probe header.
-    seed: u64,
     /// Simtrace probe cursor — tracing-only side state; never read by
     /// the simulation path.
-    probe: crate::probe::ProbeCursor,
+    probe: ProbeCursor,
 }
 
 impl Sm {
@@ -290,33 +231,16 @@ impl Sm {
         Self {
             census: Census::new(warps.iter().map(|w| w.state)),
             warps,
-            l1: cfg.l1.map(L1Cache::new),
-            l2: cfg.l2.map(|l2| {
-                (
-                    SimpleCache::new(l2.capacity_bytes, 128),
-                    Dram::new(crate::config::DramConfig {
-                        latency: l2.latency,
-                        bytes_per_cycle: l2.bytes_per_cycle,
-                    }),
-                )
-            }),
-            dram: DramPort::Own(Box::new(Dram::new(cfg.dram))),
-            hit_queue: BinaryHeap::new(),
+            mem: MemSide::new(cfg, wl.warps),
             cycle: 0,
             rr: 0,
             lsu_rr: 0,
             measuring: false,
             stats: SimStats::new(wl.warps),
-            drain_buf: Vec::new(),
             cfg: *cfg,
             wl: *wl,
             trajectory_interval: 0,
-            fault_active: false,
-            outstanding: BTreeMap::new(),
-            recovery_timeout: u64::MAX,
-            sm_id: 0,
-            seed,
-            probe: crate::probe::ProbeCursor::default(),
+            probe: ProbeCursor::new(wl.warps, seed, wl.ops_per_request, wl.ilp),
         }
     }
 
@@ -330,13 +254,7 @@ impl Sm {
     /// other layers (`xmodel_obs::fault`, `xmodel_core::degrade`).
     pub fn with_faults(cfg: &SimConfig, wl: &SimWorkload, seed: u64, spec: &FaultSpec) -> Self {
         let mut sm = Self::new(cfg, wl, seed);
-        if spec.perturbs_memory() {
-            if let DramPort::Own(d) = &mut sm.dram {
-                d.set_faults(FaultInjector::new(spec));
-            }
-            sm.fault_active = spec.drop_prob > 0.0;
-            sm.recovery_timeout = recovery_timeout(cfg, wl, spec);
-        }
+        sm.mem.set_faults(spec);
         sm
     }
 
@@ -369,50 +287,8 @@ impl Sm {
     /// [`crate::chip::ChipSim`]). Completions must then be injected via
     /// [`Sm::step_with`].
     pub(crate) fn attach_shared_dram(&mut self, dram: Rc<RefCell<Dram>>, sm_id: u16) {
-        self.dram = DramPort::Shared(dram, (sm_id as u64) << TAG_SM_SHIFT);
-        self.sm_id = sm_id;
-    }
-
-    fn bypasses(&self, warp: u32) -> bool {
-        self.l1.is_none()
-            || (warp as f64) >= (1.0 - self.cfg.bypass_fraction) * self.wl.warps as f64
-    }
-
-    /// Send a request for `addr` into the memory hierarchy below L1:
-    /// probe L2 when configured (hits ride the L2 channel; misses install
-    /// the line and fall through to DRAM), else go straight to DRAM.
-    fn submit_mem(&mut self, now: u64, addr: u64, tag: u64) {
-        let bytes = self.cfg.request_bytes.round().max(1.0) as u64;
-        if self.fault_active {
-            self.outstanding.insert(tag, (now, addr));
-        }
-        if let Some((cache, channel)) = self.l2.as_mut() {
-            if cache.probe_insert(addr) {
-                channel.submit(now, bytes, tag);
-                return;
-            }
-        }
-        self.dram.submit(now, bytes, tag);
-    }
-
-    /// Re-submit requests whose completion is overdue (lost to a drop
-    /// fault) under their original tag, so the eventual completion still
-    /// routes to the right MSHR or warp.
-    fn recover_lost(&mut self, now: u64) {
-        let timeout = self.recovery_timeout;
-        let overdue: Vec<(u64, u64)> = self
-            .outstanding
-            .iter()
-            .filter(|&(_, &(t0, _))| now.saturating_sub(t0) >= timeout)
-            .map(|(&tag, &(_, addr))| (tag, addr))
-            .collect();
-        for (tag, addr) in overdue {
-            self.stats.lost_recovered += 1;
-            if xmodel_obs::enabled() {
-                xmodel_obs::event!("sim.fault.recovered", cycle = now, tag = tag);
-            }
-            self.submit_mem(now, addr, tag);
-        }
+        self.mem.attach_shared_dram(dram, sm_id);
+        self.probe.sm = sm_id;
     }
 
     /// Move warp `wi` to `state`: the one place a warp changes state, so
@@ -440,50 +316,6 @@ impl Sm {
         }
     }
 
-    /// Hand warp `wi`'s pending request to the memory system: bypassing
-    /// warps go straight below L1; the rest access L1, where an MSHR-full
-    /// rejection leaves the warp `Stalled` to retry.
-    fn issue(&mut self, now: u64, wi: usize) {
-        let addr = self.warps[wi].pending_addr;
-        if self.bypasses(wi as u32) {
-            self.submit_mem(now, addr, TAG_DIRECT | wi as u64);
-            self.set_state(wi, WarpState::Waiting);
-            return;
-        }
-        // xlint: allow(no-panic-in-lib, state-machine invariant: Cached access is only emitted when an L1 is configured)
-        let l1 = self.l1.as_mut().expect("cached warp without L1");
-        let state = match l1.access(addr, wi as u32) {
-            Access::Hit => {
-                self.hit_queue
-                    .push(Reverse((now + l1_hit_latency(&self.cfg), wi as u32)));
-                if self.measuring {
-                    self.stats.l1_hits += 1;
-                }
-                WarpState::Waiting
-            }
-            Access::MissAllocated { mshr } => {
-                self.submit_mem(now, addr, mshr as u64);
-                if self.measuring {
-                    self.stats.l1_misses += 1;
-                }
-                WarpState::Waiting
-            }
-            Access::MissMerged { .. } => {
-                if self.measuring {
-                    self.stats.l1_merges += 1;
-                }
-                WarpState::Waiting
-            }
-            Access::MshrFull => {
-                if self.measuring {
-                    self.stats.mshr_stalls += 1;
-                }
-                WarpState::Stalled
-            }
-        };
-        self.set_state(wi, state);
-    }
-
     /// Advance one cycle (private-DRAM configuration).
     pub fn step(&mut self) {
         self.step_with(&[]);
@@ -495,47 +327,8 @@ impl Sm {
         let now = self.cycle;
 
         // 1. Completions: DRAM first, then the L1 hit pipeline.
-        self.drain_buf.clear();
-        let mut buf = std::mem::take(&mut self.drain_buf);
-        buf.extend_from_slice(injected);
-        if let DramPort::Own(d) = &mut self.dram {
-            d.drain_completions(now, &mut buf);
-        }
-        if let Some((_, channel)) = self.l2.as_mut() {
-            channel.drain_completions(now, &mut buf);
-        }
-        for tag in buf.drain(..) {
-            if self.fault_active {
-                self.outstanding.remove(&tag);
-            }
-            if tag & TAG_DIRECT != 0 {
-                self.wake((tag & !TAG_DIRECT) as u32);
-            } else {
-                match self
-                    .l1
-                    .as_mut()
-                    .and_then(|l1| l1.try_complete_fill(tag as usize))
-                {
-                    Some(waiters) => {
-                        for w in waiters {
-                            self.wake(w);
-                        }
-                    }
-                    // Idle MSHR (duplicated fill) or a tag without an L1:
-                    // absorb instead of panicking.
-                    None => self.stats.spurious_wakes += 1,
-                }
-            }
-        }
-        self.drain_buf = buf;
-        if self.fault_active && now % RECOVERY_SWEEP == 0 && !self.outstanding.is_empty() {
-            self.recover_lost(now);
-        }
-        while let Some(&Reverse((t, w))) = self.hit_queue.peek() {
-            if t > now {
-                break;
-            }
-            self.hit_queue.pop();
+        self.mem.complete(now, injected, &mut self.stats);
+        while let Some((w, _)) = self.mem.next_wake() {
             self.wake(w);
         }
 
@@ -546,7 +339,13 @@ impl Sm {
             let Some(wi) = ring.next(&self.census.issuing) else {
                 break;
             };
-            self.issue(now, wi);
+            // An MSHR-full rejection leaves the warp `Stalled` to retry.
+            let (addr, measuring) = (self.warps[wi].pending_addr, self.measuring);
+            let state = match self.mem.issue(now, wi, addr, measuring, &mut self.stats) {
+                true => WarpState::Waiting,
+                false => WarpState::Stalled,
+            };
+            self.set_state(wi, state);
         }
         self.lsu_rr = (self.lsu_rr + 1) % n;
 
@@ -580,15 +379,11 @@ impl Sm {
 
         // 4. Accounting.
         if self.measuring {
-            self.stats.cycles += 1;
-            self.stats.ops_retired += retired;
-            let [computing, queued, waiting, stalled] = self.census.counts;
-            let k = (queued + waiting + stalled) as usize;
-            self.stats.sum_k += k as f64;
-            self.stats.sum_x += (n - k) as f64;
-            self.stats.k_histogram[k] += 1;
+            let [_, queued, waiting, stalled] = self.census.counts;
+            let k = queued + waiting + stalled;
+            self.stats.count_cycle(retired, k as usize, n);
             if self.trajectory_interval > 0 && now % self.trajectory_interval == 0 {
-                self.stats.trajectory.push((now, k as u32));
+                self.stats.trajectory.push((now, k));
             }
             // Trace snapshot: a superset of the trajectory sample. Reads
             // simulator state only — determinism is unaffected by tracing.
@@ -599,44 +394,10 @@ impl Sm {
                     SNAPSHOT_INTERVAL
                 };
                 if now % interval == 0 {
-                    let (dram_inflight, dram_backlog) = match &self.dram {
-                        DramPort::Own(d) => (d.in_flight(), d.channel_free().saturating_sub(now)),
-                        DramPort::Shared(d, _) => {
-                            let d = d.borrow();
-                            (d.in_flight(), d.channel_free().saturating_sub(now))
-                        }
-                    };
-                    xmodel_obs::event!(
-                        "sim.snapshot",
-                        cycle = now,
-                        k = k,
-                        x = n - k,
-                        mshrs_busy = self.l1.as_ref().map_or(0, L1Cache::mshrs_busy),
-                        dram_inflight = dram_inflight,
-                        dram_backlog = dram_backlog,
-                        hit_rate = self.stats.hit_rate(),
-                    );
-                    self.probe.emit(
-                        &crate::probe::HeaderCtx {
-                            sm: self.sm_id,
-                            interval,
-                            warps: self.wl.warps,
-                            seed: self.seed,
-                            z: self.wl.ops_per_request,
-                            e: self.wl.ilp,
-                        },
-                        &crate::probe::StateSample {
-                            cycle: now,
-                            computing,
-                            queued,
-                            waiting,
-                            stalled,
-                            k: k as u32,
-                            dram_inflight,
-                            dram_backlog,
-                        },
-                        &self.stats,
-                    );
+                    let counts = self.census.counts;
+                    let depth = self.mem.depth(now);
+                    self.probe
+                        .sample(interval, now, counts, k, depth, &self.stats);
                 }
             }
         }
@@ -656,26 +417,15 @@ impl Sm {
     /// L2-channel or L1-hit completion, a recovery sweep, or (while
     /// measuring) a trajectory or trace sample.
     fn idle_span(&self, limit: u64) -> u64 {
-        let DramPort::Own(dram) = &self.dram else {
-            return 0;
-        };
         let n = self.warps.len() as u64;
         if u64::from(self.census.counts[WAITING]) != n {
             return 0;
         }
         let now = self.cycle;
+        let Some(mut until) = self.mem.idle_until(now, limit) else {
+            return 0;
+        };
         let next = |period: u64| now.checked_next_multiple_of(period).unwrap_or(u64::MAX);
-        let completions = [
-            dram.next_completion(),
-            self.l2
-                .as_ref()
-                .and_then(|(_, channel)| channel.next_completion()),
-            self.hit_queue.peek().map(|&Reverse((t, _))| t),
-        ];
-        let mut until = completions.into_iter().flatten().fold(limit, u64::min);
-        if self.fault_active {
-            until = until.min(next(RECOVERY_SWEEP));
-        }
         if self.measuring {
             if self.trajectory_interval > 0 {
                 until = until.min(next(self.trajectory_interval));
@@ -705,35 +455,10 @@ impl Sm {
         self.cycle += span;
     }
 
-    /// The run loops' one move toward cycle `limit` (> the current
-    /// cycle): jump an idle span if one starts now, else step one cycle.
-    fn advance(&mut self, limit: u64) {
-        match self.idle_span(limit) {
-            0 => self.step(),
-            span => self.skip_idle(span),
-        }
-    }
-
     /// Run `warmup` unmeasured cycles then `measure` measured ones.
     // xlint: determinism-root
     pub fn run(&mut self, warmup: u64, measure: u64) -> &SimStats {
-        let _span = xmodel_obs::span!(xmodel_obs::names::span::SIM_RUN);
-        self.measuring = false;
-        {
-            let _warm = xmodel_obs::span!(xmodel_obs::names::span::SIM_WARMUP);
-            let end = self.cycle + warmup;
-            while self.cycle < end {
-                self.advance(end);
-            }
-        }
-        self.measuring = true;
-        {
-            let _meas = xmodel_obs::span!(xmodel_obs::names::span::SIM_MEASURE);
-            let end = self.cycle + measure;
-            while self.cycle < end {
-                self.advance(end);
-            }
-        }
+        crate::run::run(self, xmodel_obs::names::span::SIM_RUN, warmup, measure);
         &self.stats
     }
 
@@ -749,35 +474,8 @@ impl Sm {
         measure: u64,
         watchdog: &Watchdog,
     ) -> Result<&SimStats, SimError> {
-        let _span = xmodel_obs::span!(xmodel_obs::names::span::SIM_RUN);
-        // xlint: allow(nondeterminism-in-result-path, watchdog wall-clock budget; overruns abort with a typed error and never alter stats)
-        let started = std::time::Instant::now();
-        let start = self.cycle;
-        let total = warmup + measure;
-        let mut last_completed = self.stats.requests_completed;
-        let mut last_progress = 0u64;
-        self.measuring = false;
-        while self.cycle - start < total {
-            let i = self.cycle - start;
-            if i == warmup {
-                self.measuring = true;
-                last_progress = i;
-            }
-            let phase_end = if i < warmup { warmup } else { total };
-            // Stop just past the next check cycle, so the check below
-            // reads the state it would after stepping that cycle.
-            let check = i.next_multiple_of(WATCHDOG_STRIDE);
-            self.advance(start + phase_end.min(check + 1));
-            let i = self.cycle - start - 1;
-            if i % WATCHDOG_STRIDE == 0 {
-                if self.stats.requests_completed != last_completed {
-                    last_completed = self.stats.requests_completed;
-                    last_progress = i;
-                }
-                let stalled = if self.measuring { i - last_progress } else { 0 };
-                watchdog.check(i + 1, self.stats.requests_completed, stalled, started)?;
-            }
-        }
+        let span = xmodel_obs::names::span::SIM_RUN;
+        crate::run::run_watched(self, span, warmup, measure, watchdog)?;
         Ok(&self.stats)
     }
 
@@ -792,7 +490,7 @@ impl Sm {
             if self.cycle >= end {
                 return None;
             }
-            self.advance(end);
+            self.advance(end - self.cycle);
         }
         Some(self.cycle - start)
     }
@@ -810,36 +508,34 @@ impl Sm {
     /// Faults the DRAM channel has injected, when built via
     /// [`Sm::with_faults`] (None otherwise).
     pub fn fault_counters(&self) -> Option<FaultCounters> {
-        match &self.dram {
-            DramPort::Own(d) => d.fault_counters(),
-            DramPort::Shared(d, _) => d.borrow().fault_counters(),
-        }
+        self.mem.fault_counters()
     }
 
     /// Requests currently awaiting completion in the recovery ledger
     /// (0 unless drop faults are active).
     pub fn outstanding_requests(&self) -> usize {
-        self.outstanding.len()
+        self.mem.outstanding_requests()
     }
 }
 
-/// How long to wait before declaring a request's completion lost: the
-/// worst-case service time under the spec's spike and throttle factors,
-/// plus full-fleet queueing, with generous margin. Too short would only
-/// cause benign duplicate re-submissions (absorbed by the wake guard);
-/// too long delays recovery.
-fn recovery_timeout(cfg: &SimConfig, wl: &SimWorkload, spec: &FaultSpec) -> u64 {
-    let transfer = (cfg.request_bytes / cfg.dram.bytes_per_cycle)
-        .ceil()
-        .max(1.0);
-    let slow = 1.0 / spec.throttle_factor.clamp(0.01, 1.0);
-    let latency = cfg.dram.latency as f64 * spec.spike_factor.max(1.0);
-    let queueing = wl.warps as f64 * transfer * slow;
-    (4.0 * (latency + transfer * slow) + queueing).ceil() as u64 + 1024
-}
+impl Driver for Sm {
+    fn measure(&mut self, on: bool) {
+        self.measuring = on;
+    }
 
-fn l1_hit_latency(cfg: &SimConfig) -> u64 {
-    cfg.l1.map(|c| c.hit_latency).unwrap_or(1)
+    /// Jump an idle span if one starts now, else step one cycle.
+    fn advance(&mut self, most: u64) -> u64 {
+        let start = self.cycle;
+        match self.idle_span(start + most) {
+            0 => self.step(),
+            span => self.skip_idle(span),
+        }
+        self.cycle - start
+    }
+
+    fn completed(&self) -> u64 {
+        self.stats.requests_completed
+    }
 }
 
 /// Uniform jitter in `[0.5·z, 1.5·z)` with mean `z`, desynchronising warps

@@ -158,6 +158,16 @@ impl ProbeCounters {
 }
 
 impl SimStats {
+    /// Count one measured cycle that retired `retired` warp-ops with `k`
+    /// of its `n` warps in MS.
+    pub(crate) fn count_cycle(&mut self, retired: f64, k: usize, n: usize) {
+        self.cycles += 1;
+        self.ops_retired += retired;
+        self.sum_k += k as f64;
+        self.sum_x += (n - k) as f64;
+        self.k_histogram[k] += 1;
+    }
+
     /// Sample every counter the probe layer differences, in one read.
     pub(crate) fn probe_counters(&self) -> ProbeCounters {
         ProbeCounters {

@@ -174,6 +174,14 @@ for bad in "no-such-command" "draw --fault-spec gremlins=1"; do
     test $? -eq 2 || { echo "usage error ($bad) exited $? (want 2)" >&2; exit 1; }
   fi
 done
+# 0 + warning — the IR driver heals dropped completions through the
+# memory side it shares with the parametric one: this run completes, and
+# its warning line reports a nonzero recovered count.
+out="$($xm sim --ir --workload nw --gpu kepler --l1 16 \
+  --fault-spec seed=5,drop=0.02 2>&1 >/dev/null)" \
+  || { echo "IR run with drop faults must exit 0: $out" >&2; exit 1; }
+echo "$out" | grep -Eq 'warning:.*\([1-9][0-9]* recovered' \
+  || { echo "IR drop faults must be recovered: $out" >&2; exit 1; }
 
 echo "=== sweep determinism (--jobs must not change the bytes) ==="
 $xm sweep --gpu fermi --z 16 --l1 16 --n-max 48 --points 128 --jobs 1 \

@@ -14,7 +14,10 @@ use xmodel::core::solver::DEFAULT_SAMPLES;
 use xmodel::core::XModel;
 use xmodel::obs::{FaultySink, MemSink, Sink};
 use xmodel::profile::arch::sim_config_for;
-use xmodel::sim::{FaultInjector, FaultSpec, SimError, SimStats, SimWorkload, Sm, Watchdog};
+use xmodel::sim::{
+    FaultCounters, FaultInjector, FaultSpec, IrSm, SimError, SimStats, SimWorkload, Sm, Watchdog,
+};
+use xmodel::workloads::microbench::stream_kernel;
 use xmodel::workloads::TraceSpec;
 
 /// Fault specs swept by the matrix: each single fault class alone, then a
@@ -49,14 +52,54 @@ fn workload() -> SimWorkload {
     }
 }
 
-fn run_faulted(gpu: &GpuSpec, spec: &FaultSpec, seed: u64) -> Result<SimStats, SimError> {
-    let cfg = sim_config_for(gpu, Precision::Single);
-    let mut sm = Sm::with_faults(&cfg, &workload(), seed, spec);
+/// The simulator drivers the matrix runs: the parametric `Sm` on
+/// [`workload`], and the IR-driven `IrSm` executing the stream kernel over
+/// the same trace and warps.
+#[derive(Debug, Clone, Copy)]
+enum Driver {
+    Parametric,
+    Ir,
+}
+
+impl Driver {
+    /// A watched run of 5k warm-up and 20k measured cycles, and the fault
+    /// counters the injector reports after it.
+    fn run(
+        self,
+        gpu: &GpuSpec,
+        spec: &FaultSpec,
+        seed: u64,
+        watchdog: &Watchdog,
+    ) -> (Result<SimStats, SimError>, Option<FaultCounters>) {
+        let cfg = sim_config_for(gpu, Precision::Single);
+        let wl = workload();
+        match self {
+            Driver::Parametric => {
+                let mut sm = Sm::with_faults(&cfg, &wl, seed, spec);
+                let stats = sm.run_watched(5_000, 20_000, watchdog).cloned();
+                (stats, sm.fault_counters())
+            }
+            Driver::Ir => {
+                let mut sm = IrSm::new(&cfg, &stream_kernel(false), wl.trace, wl.warps, seed);
+                sm.set_faults(spec);
+                let stats = sm.run_watched(5_000, 20_000, watchdog).cloned();
+                (stats, sm.fault_counters())
+            }
+        }
+    }
+}
+
+fn run_faulted(
+    driver: Driver,
+    gpu: &GpuSpec,
+    spec: &FaultSpec,
+    seed: u64,
+) -> Result<SimStats, SimError> {
     let watchdog = Watchdog {
         stall_cycles: 10_000,
         ..Watchdog::default()
     };
-    sm.run_watched(5_000, 20_000, &watchdog).cloned()
+    driver.run(gpu, spec, seed, &watchdog).0
 }
 
 fn assert_stats_finite(stats: &SimStats, label: &str) {
@@ -72,16 +115,21 @@ fn assert_stats_finite(stats: &SimStats, label: &str) {
     }
 }
 
-/// The tentpole assertion: the full fault-spec × GPU-preset matrix either
-/// completes with finite stats or returns a typed error. (A panic or a
-/// NaN anywhere fails the test harness directly.)
+/// The tentpole assertion: the full fault-spec × GPU-preset matrix, on
+/// both drivers, either completes with finite stats or returns a typed
+/// error, and a run that completes recovers lost completions whenever
+/// the injector dropped any. (A panic or a NaN anywhere fails the test
+/// harness directly.)
 #[test]
 fn matrix_faults_recover_or_error_never_panic() {
-    for gpu in GpuSpec::all() {
+    for (driver, gpu) in [Driver::Parametric, Driver::Ir]
+        .into_iter()
+        .flat_map(|d| GpuSpec::all().into_iter().map(move |g| (d, g)))
+    {
         for text in FAULT_SPECS {
             let spec = FaultSpec::parse(text).expect("matrix specs parse");
-            let label = format!("{} / {text:?}", gpu.name);
-            match run_faulted(&gpu, &spec, 42) {
+            let label = format!("{driver:?} {} / {text:?}", gpu.name);
+            match run_faulted(driver, &gpu, &spec, 42) {
                 Ok(stats) => {
                     assert_stats_finite(&stats, &label);
                     assert!(
@@ -90,15 +138,20 @@ fn matrix_faults_recover_or_error_never_panic() {
                     );
                     if spec.perturbs_memory() {
                         // Provenance: the injector's counters surface.
-                        let cfg = sim_config_for(&gpu, Precision::Single);
-                        let mut sm = Sm::with_faults(&cfg, &workload(), 42, &spec);
-                        let _ = sm.run_watched(5_000, 20_000, &Watchdog::default());
-                        let c = sm
-                            .fault_counters()
-                            .unwrap_or_else(|| panic!("{label}: no fault counters"));
+                        let (rerun, counters) = driver.run(&gpu, &spec, 42, &Watchdog::default());
+                        let c = counters.unwrap_or_else(|| panic!("{label}: no fault counters"));
                         assert!(
                             spec.spike_prob == 0.0 || c.spikes > 0,
                             "{label}: spikes enabled but none recorded"
+                        );
+                        // Recovery: when completions were dropped, the
+                        // ledger re-submitted some instead of leaving
+                        // their warps parked.
+                        let recovered = rerun.map_or(0, |s| s.lost_recovered);
+                        assert!(
+                            c.drops == 0 || recovered > 0,
+                            "{label}: {} drops injected, none recovered",
+                            c.drops
                         );
                     }
                 }
