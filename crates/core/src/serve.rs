@@ -7,10 +7,11 @@
 //! overload from day one — queueing theory says latency explodes as
 //! utilization approaches 1, so every stage bounds its work:
 //!
-//! 1. **Admission control.** A fixed worker pool drains a bounded
-//!    request queue. Past capacity the accept thread sheds with
-//!    `429 Too Many Requests` + `Retry-After` instead of queueing
-//!    without bound (the M/M/1 collapse).
+//! 1. **Admission control.** One accept thread blocks in `accept` and
+//!    feeds a bounded request queue drained by a fixed worker pool.
+//!    Past capacity it sheds with `429 Too Many Requests` +
+//!    `Retry-After` instead of queueing without bound (the M/M/1
+//!    collapse).
 //! 2. **Deadline propagation.** Every request carries a budget
 //!    (`X-Deadline-Ms` header or `deadline_ms` JSON field, default
 //!    [`ServeConfig::default_deadline_ms`]) measured from *accept*, so
@@ -18,16 +19,21 @@
 //!    convert exhaustion into a typed `504` ([`ServeError`]), the
 //!    watchdog idiom — never a hung connection.
 //! 3. **Degradation-ladder load-shedding.** Rising queue depth forces
-//!    [`crate::degrade::DegradeForce`] down the ladder (exact →
-//!    grid-scan → baseline estimate); every response carries its
-//!    [`Degradation`] provenance in the body and an `X-Degradation`
-//!    header, so clients know what they got.
-//! 4. **Sharded [`SolveCache`].** Requests for the same supply curve
-//!    ([`CurveKey`]) reuse one tabulation; independent curves land on
+//!    `/solve` and `/sweep` down the ladder
+//!    ([`crate::degrade::DegradeForce`]: exact → grid-scan → baseline
+//!    estimate); every such response carries its [`Degradation`]
+//!    provenance in the body and an `X-Degradation` header, so clients
+//!    know what they got. `/whatif` has no ladder and is always exact.
+//! 4. **Sharded [`SolveCache`].** Every exact-rung solve — a `/solve`,
+//!    each `/sweep` row, and a what-if's base model and the candidates
+//!    that keep its supply curve — reads the one tabulation of its
+//!    supply curve ([`CurveKey`]); independent curves land on
 //!    independent shards, so the lock a solve holds is per-curve, not
 //!    global.
 //! 5. **Graceful drain.** `POST /quitck` (signals are out of std
-//!    reach) stops accepting, drains queued + in-flight requests under
+//!    reach) stops accepting — it wakes the blocked accept thread with
+//!    one connection of its own, which is dropped unanswered — drains
+//!    queued + in-flight requests under
 //!    [`ServeConfig::drain_deadline_ms`], and flushes trace/metric
 //!    sinks.
 //!
@@ -38,18 +44,18 @@
 
 use crate::cache::CacheParams;
 use crate::degrade::{self, Degradation, DegradeForce, ResolvedOperatingPoint};
-use crate::fastpath::{solve_fast, CurveKey, CurveTable, SolveCache};
+use crate::fastpath::{CurveKey, SolveCache};
 use crate::model::XModel;
 use crate::params::{MachineParams, WorkloadParams};
 use crate::presets::{GpuSpec, Precision};
-use crate::solver::{Intersection, DEFAULT_SAMPLES, MAX_SAMPLES};
+use crate::solver::{Equilibria, Intersection, DEFAULT_SAMPLES, MAX_SAMPLES};
 use crate::whatif::{Optimization, WhatIf};
 use serde::ser::{SerializeStruct, Serializer};
 use serde::Serialize;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -72,9 +78,10 @@ const PROMETHEUS_TEXT: &str = "text/plain; version=0.0.4; charset=utf-8";
 /// How often parked workers re-check the drain flag.
 const WORKER_PARK: Duration = Duration::from_millis(50);
 
-/// Accept-loop poll interval (the listener is non-blocking so drain can
-/// interrupt it).
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
+/// Back-off after a failed `accept` (for example when the process is
+/// out of file descriptors), so the accept thread does not spin. The
+/// listener itself blocks; a drain wakes it with a connection.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(1);
 
 /// Deadline checks during a sweep happen every this many rows.
 const SWEEP_CHECK_EVERY: usize = 32;
@@ -374,6 +381,8 @@ struct Counters {
 
 struct Shared {
     cfg: ServeConfig,
+    /// The bound address, which a drain connects to.
+    addr: SocketAddr,
     queue: Mutex<VecDeque<Conn>>,
     ready: Condvar,
     draining: AtomicBool,
@@ -387,9 +396,25 @@ impl Shared {
         self.draining.load(Ordering::Acquire)
     }
 
+    /// Flip to draining and wake the accept thread, which is blocked in
+    /// `accept`, with one connection of its own; a wildcard bind is
+    /// reached through loopback of its family. Only the first call
+    /// connects.
     fn begin_drain(&self) {
-        self.draining.store(true, Ordering::Release);
+        if self.draining.swap(true, Ordering::AcqRel) {
+            return;
+        }
         self.ready.notify_all();
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // A failed connect leaves the accept thread to the next client;
+        // `Server::wait` bounds that by the drain deadline.
+        let _ = TcpStream::connect_timeout(&wake, self.limits().io_timeout);
     }
 
     fn queue_depth(&self) -> usize {
@@ -415,9 +440,11 @@ pub struct ServeReport {
     pub deadline_exceeded: u64,
     /// Connections rejected while reading (400/408/413).
     pub malformed: u64,
-    /// Requests forced below the exact rung by queue pressure.
+    /// `/solve` and `/sweep` requests forced below the exact rung by
+    /// queue pressure (`/whatif` has no ladder and is never forced).
     pub forced_degrade: u64,
-    /// Whether every worker exited within the drain deadline.
+    /// Whether the accept thread and every worker exited within the
+    /// drain deadline.
     pub clean_drain: bool,
 }
 
@@ -426,9 +453,8 @@ pub struct ServeReport {
 /// `POST /quitck` (or [`Server::drain`]) followed by [`Server::wait`].
 pub struct Server {
     shared: Arc<Shared>,
-    addr: SocketAddr,
-    accept: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    /// The accept thread, then the workers.
+    threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
@@ -436,12 +462,12 @@ impl Server {
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let shards = cfg.cache_shards;
         let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
             cfg,
+            addr,
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
             draining: AtomicBool::new(false),
@@ -451,31 +477,27 @@ impl Server {
         });
 
         let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::Builder::new()
-            .name("xmodel-serve-accept".to_string())
-            .spawn(move || accept_loop(listener, &accept_shared))?;
-
-        let mut pool = Vec::with_capacity(workers);
+        let mut threads = Vec::with_capacity(workers + 1);
+        threads.push(
+            std::thread::Builder::new()
+                .name("xmodel-serve-accept".to_string())
+                .spawn(move || accept_loop(listener, &accept_shared))?,
+        );
         for i in 0..workers {
             let worker_shared = Arc::clone(&shared);
-            pool.push(
+            threads.push(
                 std::thread::Builder::new()
                     .name(format!("xmodel-serve-worker-{i}"))
                     .spawn(move || worker_loop(&worker_shared))?,
             );
         }
 
-        Ok(Server {
-            shared,
-            addr,
-            accept: Some(accept),
-            workers: pool,
-        })
+        Ok(Server { shared, threads })
     }
 
     /// The bound address (resolves port 0 to the actual port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// Programmatic drain trigger, equivalent to `POST /quitck`.
@@ -488,24 +510,22 @@ impl Server {
         self.shared.draining()
     }
 
-    /// Block until a drain is requested, then join the accept thread,
-    /// give workers [`ServeConfig::drain_deadline_ms`] to finish queued
-    /// and in-flight work, flush observability sinks and report.
-    /// Workers still running past the deadline are abandoned (detached)
-    /// and the report says `clean_drain: false`.
+    /// Block until a drain is requested, then give the accept thread
+    /// and the workers [`ServeConfig::drain_deadline_ms`] to stop
+    /// accepting and finish queued and in-flight work, flush
+    /// observability sinks and report. Threads still running past the
+    /// deadline are abandoned (detached) and the report says
+    /// `clean_drain: false`.
     pub fn wait(mut self) -> ServeReport {
         while !self.shared.draining() {
             std::thread::sleep(WORKER_PARK);
         }
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
         let drain_deadline =
             Instant::now() + Duration::from_millis(self.shared.cfg.drain_deadline_ms);
         let mut clean = true;
-        while !self.workers.is_empty() {
-            self.workers.retain(|w| !w.is_finished());
-            if self.workers.is_empty() {
+        while !self.threads.is_empty() {
+            self.threads.retain(|t| !t.is_finished());
+            if self.threads.is_empty() {
                 break;
             }
             if Instant::now() > drain_deadline {
@@ -527,14 +547,16 @@ impl Server {
     }
 }
 
+/// Block in `accept` until a drain begins. The first connection after
+/// that is the wake-up from [`Shared::begin_drain`] (or a client racing
+/// it): it is dropped unanswered, neither admitted nor shed, and the
+/// listener closes with the loop.
 fn accept_loop(listener: TcpListener, shared: &Shared) {
-    while !shared.draining() {
+    loop {
         match listener.accept() {
+            _ if shared.draining() => break,
             Ok((stream, _)) => admit(shared, stream),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
     shared.accept_done.store(true, Ordering::Release);
@@ -614,6 +636,11 @@ fn worker_loop(shared: &Shared) {
 }
 
 fn handle_conn(shared: &Shared, mut conn: Conn) {
+    xmodel_obs::metrics::histogram_observe(
+        metric::SERVE_QUEUE_WAIT_US,
+        xmodel_obs::metrics::latency_edges_us(),
+        conn.accepted.elapsed().as_micros() as f64,
+    );
     if shared.cfg.stall_ms > 0 {
         // Fault injection (`serve-stall=MS`): a worker that lost its CPU
         // or is blocked on a slow dependency. Admission control and
@@ -621,7 +648,11 @@ fn handle_conn(shared: &Shared, mut conn: Conn) {
         std::thread::sleep(Duration::from_millis(shared.cfg.stall_ms));
     }
     let limits = shared.limits();
-    let request = match http::read_request(&mut conn.stream, &limits) {
+    let request = {
+        let _span = xmodel_obs::span!(span::SERVE_READ);
+        http::read_request(&mut conn.stream, &limits)
+    };
+    let request = match request {
         Ok(request) => request,
         Err(e) => {
             shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
@@ -650,6 +681,7 @@ fn handle_conn(shared: &Shared, mut conn: Conn) {
         xmodel_obs::metrics::latency_edges_us(),
         conn.accepted.elapsed().as_micros() as f64,
     );
+    let _write = xmodel_obs::span!(span::SERVE_WRITE);
     let _ = http::write_response(&mut conn.stream, &response);
 }
 
@@ -667,6 +699,21 @@ fn force_for_depth(cfg: &ServeConfig, depth: usize) -> DegradeForce {
     } else {
         DegradeForce::None
     }
+}
+
+/// [`force_for_depth`] for a `/solve` or `/sweep`, counted in
+/// `forced_degrade` when it skips the exact rung. A what-if has no
+/// ladder to descend, so it is always answered exactly and never asks.
+fn counted_force(shared: &Shared, depth: usize) -> DegradeForce {
+    let force = force_for_depth(&shared.cfg, depth);
+    if force != DegradeForce::None {
+        shared
+            .counters
+            .forced_degrade
+            .fetch_add(1, Ordering::Relaxed);
+        xmodel_obs::metrics::counter_add(metric::SERVE_FORCED_DEGRADE, 1);
+    }
+    force
 }
 
 /// Dispatch one parsed request to its handler and assemble the response
@@ -701,17 +748,9 @@ fn route(shared: &Shared, request: &Request, accepted: Instant, depth: usize) ->
             )
         }
         ("POST", "/solve") | ("POST", "/sweep") | ("POST", "/whatif") => {
-            let force = force_for_depth(&shared.cfg, depth);
-            if force != DegradeForce::None {
-                shared
-                    .counters
-                    .forced_degrade
-                    .fetch_add(1, Ordering::Relaxed);
-                xmodel_obs::metrics::counter_add(metric::SERVE_FORCED_DEGRADE, 1);
-            }
             let result = match request.path.as_str() {
-                "/solve" => handle_solve(shared, request, accepted, force),
-                "/sweep" => handle_sweep(shared, request, accepted, force),
+                "/solve" => handle_solve(shared, request, accepted, counted_force(shared, depth)),
+                "/sweep" => handle_sweep(shared, request, accepted, counted_force(shared, depth)),
                 _ => handle_whatif(shared, request, accepted),
             };
             match result {
@@ -915,11 +954,6 @@ fn handle_sweep(
         .unwrap_or(64)
         .clamp(2, MAX_SWEEP_POINTS);
 
-    parsed.deadline.check()?;
-    // One tabulation covers every row at the exact rung: the supply
-    // curve does not depend on `n`, only the scan domain does.
-    let table = (force == DegradeForce::None).then(|| CurveTable::build(&parsed.model, n_max));
-
     let mut rows = Vec::with_capacity(points);
     let mut worst = Degradation::Exact;
     for i in 0..points {
@@ -931,16 +965,15 @@ fn handle_sweep(
             workload: parsed.model.workload.with_n(n),
             ..parsed.model
         };
-        let (roots, point, rung) = match &table {
-            Some(table) => {
-                let eq = solve_fast(&model_n, table, parsed.samples);
-                (eq.points().len(), eq.operating_point(), Degradation::Exact)
-            }
-            None => {
-                let resolved = degrade::resolve(&model_n, parsed.samples, force)
-                    .map_err(|e| ServeError::Model(e.to_string()))?;
-                (0, Some(resolved.point), resolved.degradation)
-            }
+        // At the exact rung every row reads the supply curve's one
+        // tabulation in the shard cache: `n` moves only the demand curve.
+        let (roots, point, rung) = if force == DegradeForce::None {
+            let eq = shared.cache.solve_with(&model_n, parsed.samples);
+            (eq.points().len(), eq.operating_point(), Degradation::Exact)
+        } else {
+            let resolved = degrade::resolve(&model_n, parsed.samples, force)
+                .map_err(|e| ServeError::Model(e.to_string()))?;
+            (0, Some(resolved.point), resolved.degradation)
         };
         if rung.is_degraded() && !worst.is_degraded() {
             worst = rung;
@@ -1004,10 +1037,24 @@ fn handle_whatif(
         ));
     }
 
+    // The base point is solved once, and a candidate that keeps the
+    // base's supply curve (throttle, intensity, reduce-ILP) reads the
+    // same cached tabulation. Bypass and enlarge-cache reshape the
+    // curve: a one-off table would cost more than their dense solve and
+    // would crowd the shards' hot curves out, so they stay dense.
+    let key = CurveKey::of(&model);
+    let solve = |m: &XModel| -> Equilibria {
+        if CurveKey::of(m) == key {
+            shared.cache.solve_with(m, DEFAULT_SAMPLES)
+        } else {
+            m.solve()
+        }
+    };
+    let base = solve(&model).operating_point();
     let mut evaluated = Vec::with_capacity(candidates.len());
     for (name, opt) in candidates {
         parsed.deadline.check()?;
-        let effect = what_if.evaluate(opt);
+        let effect = what_if.evaluate_seq_from(base, &[opt], solve);
         evaluated.push(CandidateBody {
             name,
             ms_speedup: effect.map(|e| e.ms_speedup()),
@@ -1017,7 +1064,7 @@ fn handle_whatif(
     let body = WhatIfBody {
         schema: SERVE_SCHEMA,
         kind: "whatif",
-        thrashing: what_if.is_thrashing(),
+        thrashing: what_if.is_thrashing_at(base),
         candidates: evaluated,
     };
     Ok(json_response(200, &body))
@@ -1454,5 +1501,288 @@ mod tests {
             assert_eq!(got, format!("{want}\n"), "{route} {body}");
         }
         assert!(server.wait().clean_drain);
+    }
+
+    /// The `/whatif` body for `model` as the library's dense path answers
+    /// it: `WhatIf::is_thrashing`, then one `WhatIf::evaluate` per
+    /// candidate.
+    fn library_whatif(model: XModel) -> String {
+        let what_if = WhatIf::new(model);
+        let mut candidates = Vec::new();
+        if let Some(n) = what_if.optimal_throttle() {
+            candidates.push(("throttle", Optimization::ThreadThrottle { n }));
+        }
+        candidates.push((
+            "bypass",
+            Optimization::CacheBypass {
+                r: model.machine.r * 3.0,
+            },
+        ));
+        candidates.push((
+            "intensity",
+            Optimization::IncreaseIntensity {
+                z: model.workload.z * 2.0,
+            },
+        ));
+        candidates.push((
+            "reduce-ilp",
+            Optimization::ReduceIlp {
+                e: model.workload.e * 0.5,
+            },
+        ));
+        if let Some(cache) = model.cache {
+            candidates.push((
+                "enlarge-cache",
+                Optimization::EnlargeCache {
+                    s_cache: cache.s_cache * 3.0,
+                },
+            ));
+        }
+        let body = WhatIfBody {
+            schema: SERVE_SCHEMA,
+            kind: "whatif",
+            thrashing: what_if.is_thrashing(),
+            candidates: candidates
+                .into_iter()
+                .map(|(name, opt)| {
+                    let effect = what_if.evaluate(opt);
+                    CandidateBody {
+                        name,
+                        ms_speedup: effect.map(|e| e.ms_speedup()),
+                        cs_speedup: effect.map(|e| e.cs_speedup()),
+                    }
+                })
+                .collect(),
+        };
+        format!("{}\n", xmodel_obs::json::to_string(&body))
+    }
+
+    /// The `/sweep` body for `model` with every row from the dense
+    /// `XModel::solve_with` at that row's `n`.
+    fn library_sweep(model: XModel, n_max: f64, points: usize, samples: usize) -> String {
+        let rows = (0..points)
+            .map(|i| {
+                let n = 1.0 + (n_max - 1.0) * i as f64 / (points - 1) as f64;
+                let model_n = XModel {
+                    workload: model.workload.with_n(n),
+                    ..model
+                };
+                let eq = model_n.solve_with(samples);
+                SweepRow {
+                    n,
+                    roots: eq.points().len(),
+                    point: eq.operating_point().map(PointBody::from),
+                }
+            })
+            .collect();
+        let body = SweepBody {
+            schema: SERVE_SCHEMA,
+            kind: "sweep",
+            degradation: "exact",
+            n_max,
+            points,
+            rows,
+        };
+        format!("{}\n", xmodel_obs::json::to_string(&body))
+    }
+
+    /// Served what-if and sweep answers equal the library's dense path,
+    /// byte for byte, whichever solver the daemon uses behind them. The
+    /// inputs: the 12 supply curves perfbench keeps hot (3 GPUs × {no
+    /// L1, 16 KiB α3 β2048, 48 KiB α3 β2048, 16 KiB α5 β3072}) at a few
+    /// `z`/`n`; the thrashing fixture of `whatif::tests`; a variant of
+    /// it whose throttle candidate and sweep run past `n` = 64, so a
+    /// cached table's domain must grow; all of it once on 8 shards and
+    /// once on 1 shard, where what-if, sweep and solve requests
+    /// interleave with LRU evictions.
+    #[test]
+    fn whatif_and_sweep_bodies_match_the_dense_library_path() {
+        // (request body without `n`/`n_max`, model, [(z, n)])
+        let mut curves: Vec<(String, XModel)> = Vec::new();
+        for (gpu, spec) in [
+            ("fermi", GpuSpec::fermi_gtx570()),
+            ("kepler", GpuSpec::kepler_k40()),
+            ("maxwell", GpuSpec::maxwell_gtx750ti()),
+        ] {
+            let machine = spec.machine_params(Precision::Single);
+            for l1 in [
+                None,
+                Some((16.0, 3.0, 2048.0)),
+                Some((48.0, 3.0, 2048.0)),
+                Some((16.0, 5.0, 3072.0)),
+            ] {
+                let workload = WorkloadParams::try_new(1.0, 1.0, 1.0).expect("workload");
+                let (fields, model) = match l1 {
+                    None => (format!("\"gpu\":\"{gpu}\""), XModel::new(machine, workload)),
+                    Some((kib, alpha, beta)) => (
+                        format!(
+                            "\"gpu\":\"{gpu}\",\"l1_kib\":{kib},\"alpha\":{alpha},\"beta\":{beta}"
+                        ),
+                        XModel::with_cache(
+                            machine,
+                            workload,
+                            CacheParams::try_new(kib * 1024.0, 30.0, alpha, beta).expect("cache"),
+                        ),
+                    ),
+                };
+                curves.push((fields, model));
+            }
+        }
+        let fixture_machine = MachineParams::try_new(6.0, 0.02, 600.0).expect("machine");
+        let fixture_cache = CacheParams::try_new(16.0 * 1024.0, 30.0, 5.0, 2048.0).expect("cache");
+        let fixture = |e: f64| {
+            (
+                format!(
+                    "\"m\":6,\"r\":0.02,\"l\":600,\"e\":{e},\"l1_kib\":16,\"l1_latency\":30,\"alpha\":5,\"beta\":2048"
+                ),
+                XModel::with_cache(
+                    fixture_machine,
+                    WorkloadParams::try_new(1.0, e, 1.0).expect("workload"),
+                    fixture_cache,
+                ),
+            )
+        };
+
+        // (fields, model, z, n, sweep points, explicit sweep samples)
+        let mut cases: Vec<(String, XModel, f64, f64, usize, Option<usize>)> = Vec::new();
+        for (i, (fields, model)) in curves.iter().enumerate() {
+            for (z, n) in [(4.0, 8.0), (12.5, 31.0), (32.0, 63.0)] {
+                let samples = (i % 5 == 0).then_some(512);
+                cases.push((fields.clone(), *model, z, n, 5, samples));
+            }
+        }
+        let (fields, model) = fixture(2.0);
+        let thrashing = XModel {
+            workload: WorkloadParams::try_new(40.0, 2.0, 20.0).expect("workload"),
+            ..model
+        };
+        assert!(WhatIf::new(thrashing).is_thrashing(), "fixture must thrash");
+        cases.push((fields, model, 40.0, 20.0, 6, None));
+        let (fields, model) = fixture(0.05);
+        let wide = XModel {
+            workload: WorkloadParams::try_new(40.0, 0.05, 20.0).expect("workload"),
+            ..model
+        };
+        let n_star = WhatIf::new(wide).optimal_throttle().expect("peak exists");
+        assert!(
+            n_star > 64.0,
+            "throttle n {n_star} must pass the first domain"
+        );
+        cases.push((fields.clone(), model, 40.0, 20.0, 4, None));
+        cases.push((fields, model, 40.0, 200.0, 4, Some(512)));
+
+        for cache_shards in [8, 1] {
+            let server = Server::start(ServeConfig {
+                cache_shards,
+                ..test_config()
+            })
+            .expect("start");
+            let addr = server.addr();
+            for (fields, model, z, n, points, samples) in &cases {
+                let model = XModel {
+                    workload: WorkloadParams::try_new(*z, model.workload.e, *n).expect("n"),
+                    ..*model
+                };
+                let context = format!("{cache_shards} shard(s), {fields} z {z} n {n}");
+
+                let (status, _, got) = post(
+                    addr,
+                    "/whatif",
+                    &format!("{{{fields},\"z\":{z},\"n\":{n}}}"),
+                );
+                assert_eq!(status, 200, "{context}: {got}");
+                assert_eq!(got, library_whatif(model), "/whatif {context}");
+
+                let extra = samples.map_or(String::new(), |s| format!(",\"samples\":{s}"));
+                let (status, _, got) = post(
+                    addr,
+                    "/sweep",
+                    &format!("{{{fields},\"z\":{z},\"n_max\":{n},\"points\":{points}{extra}}}"),
+                );
+                assert_eq!(status, 200, "{context}: {got}");
+                let samples = samples.unwrap_or(DEFAULT_SAMPLES);
+                assert_eq!(
+                    got,
+                    library_sweep(model, *n, *points, samples),
+                    "/sweep {context}"
+                );
+
+                let (status, _, got) =
+                    post(addr, "/solve", &format!("{{{fields},\"z\":{z},\"n\":{n}}}"));
+                assert_eq!(status, 200, "{context}: {got}");
+                let want = model.solve().operating_point().map(PointBody::from);
+                if let Some(point) = want {
+                    let point = xmodel_obs::json::to_string(&point);
+                    assert!(got.contains(&point), "/solve {context}: {got}");
+                }
+            }
+            server.drain();
+            let report = server.wait();
+            assert!(report.clean_drain);
+            assert_eq!(report.served, 3 * cases.len() as u64);
+        }
+    }
+
+    /// Queue pressure forces only the routes that have a ladder to
+    /// descend. `/whatif` is always answered exactly, so at a zero grid
+    /// watermark it is not counted, while a `/solve` is.
+    #[test]
+    fn forced_degrade_counts_only_forced_rungs() {
+        let forced = ServeConfig {
+            grid_watermark: 0.0,
+            ..test_config()
+        };
+        let server = Server::start(forced.clone()).expect("start");
+        let (status, _, body) = post(server.addr(), "/whatif", FERMI_BODY);
+        assert_eq!(status, 200, "{body}");
+        server.drain();
+        assert_eq!(server.wait().forced_degrade, 0);
+
+        let server = Server::start(forced).expect("start");
+        let (status, _, body) = post(server.addr(), "/whatif", FERMI_BODY);
+        assert_eq!(status, 200, "{body}");
+        let (status, head, body) = post(server.addr(), "/solve", FERMI_BODY);
+        assert_eq!(status, 200, "{body}");
+        assert!(head.contains("X-Degradation: grid-scan"), "{head}");
+        server.drain();
+        assert_eq!(server.wait().forced_degrade, 1);
+    }
+
+    /// An idle server drains within a second on a loopback or wildcard
+    /// bind of either family, with nothing shed; a second drain, or one
+    /// after `POST /quitck`, is harmless.
+    #[test]
+    fn idle_server_drains_promptly_on_every_bind() {
+        let mut binds = vec!["127.0.0.1:0", "0.0.0.0:0"];
+        if TcpListener::bind("[::1]:0").is_ok() {
+            binds.push("[::]:0");
+        }
+        for bind in binds {
+            let server = Server::start(ServeConfig {
+                addr: bind.to_string(),
+                ..test_config()
+            })
+            .expect(bind);
+            let started = Instant::now();
+            server.drain();
+            server.drain();
+            let report = server.wait();
+            assert!(
+                started.elapsed() < Duration::from_secs(1),
+                "{bind}: drain took {:?}",
+                started.elapsed()
+            );
+            assert_eq!(report.shed, 0, "{bind}");
+            assert_eq!(report.served, 0, "{bind}");
+            assert!(report.clean_drain, "{bind}");
+        }
+
+        let server = Server::start(test_config()).expect("start");
+        let (status, _, _) = post(server.addr(), "/quitck", "");
+        assert_eq!(status, 200);
+        server.drain();
+        let report = server.wait();
+        assert_eq!((report.served, report.shed), (1, 0));
+        assert!(report.clean_drain);
     }
 }

@@ -17,6 +17,7 @@
 //! L1-disable reference configuration of Fig. 18.
 
 use crate::model::XModel;
+use crate::solver::{Equilibria, Intersection};
 use crate::sweep;
 use crate::tuning::TuningEffect;
 use serde::{Deserialize, Serialize};
@@ -130,7 +131,13 @@ impl WhatIf {
     /// `true` when the current operating point sits on the descending
     /// slope of `f(k)` — the cache-thrashing condition of Fig. 12.
     pub fn is_thrashing(&self) -> bool {
-        match self.model.solve().operating_point() {
+        self.is_thrashing_at(self.model.solve().operating_point())
+    }
+
+    /// [`WhatIf::is_thrashing`] at a base operating point the caller has
+    /// already solved (`None` when the base has no equilibrium).
+    pub fn is_thrashing_at(&self, base: Option<Intersection>) -> bool {
+        match base {
             Some(p) => {
                 let h = (self.model.workload.n * 1e-6).max(1e-9);
                 let df = (self.model.fk(p.k + h) - self.model.fk((p.k - h).max(0.0)))
@@ -150,12 +157,26 @@ impl WhatIf {
     /// Fig. 18 configurations combine cache size with throttling or
     /// bypassing).
     pub fn evaluate_seq(&self, opts: &[Optimization]) -> Option<TuningEffect> {
-        let before = self.model.solve().operating_point()?;
+        self.evaluate_seq_from(self.model.solve().operating_point(), opts, XModel::solve)
+    }
+
+    /// [`WhatIf::evaluate_seq`] from a base operating point the caller
+    /// has already solved, solving the optimized model with `solve`. The
+    /// effect equals [`WhatIf::evaluate_seq`]'s whenever `solve` answers
+    /// bit for bit as [`XModel::solve`] does, as the tabulated fast path
+    /// at [`crate::solver::DEFAULT_SAMPLES`] does.
+    pub fn evaluate_seq_from(
+        &self,
+        base: Option<Intersection>,
+        opts: &[Optimization],
+        solve: impl Fn(&XModel) -> Equilibria,
+    ) -> Option<TuningEffect> {
+        let before = base?;
         let mut model = self.model;
         for opt in opts {
             model = opt.apply(&model);
         }
-        let after = model.solve().operating_point()?;
+        let after = solve(&model).operating_point()?;
         Some(TuningEffect {
             ms_before: before.ms_throughput,
             ms_after: after.ms_throughput,

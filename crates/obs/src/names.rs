@@ -38,8 +38,16 @@ pub mod span {
     /// (`xmodel residuals`).
     pub const RESIDUAL_COMPARE: &str = "residual.compare";
     /// One admitted request handled by the `xmodel serve` daemon
-    /// (`core::serve`), parse through response write.
+    /// (`core::serve`): routing (body parse and solve) through the
+    /// response write. The request read and the admission queue lie
+    /// outside it.
     pub const SERVE_REQUEST: &str = "serve.request";
+    /// Reading one admitted request off its socket
+    /// (`obs::http::read_request`), before `serve.request` opens.
+    pub const SERVE_READ: &str = "serve.read";
+    /// Writing one response to its socket (`obs::http::write_response`),
+    /// nested in `serve.request`.
+    pub const SERVE_WRITE: &str = "serve.write";
 }
 
 /// Counter / gauge names: `<subsystem>.<noun>`, dot-separated, lowercase.
@@ -155,11 +163,15 @@ pub mod metric {
     /// Connections rejected as malformed, oversized or timed out while
     /// reading (400/408/413).
     pub const SERVE_MALFORMED: &str = "serve.malformed";
-    /// Requests forced below the exact ladder rung by queue pressure.
+    /// `/solve` and `/sweep` requests forced below the exact ladder rung
+    /// by queue pressure (`/whatif` has no ladder and is never forced).
     pub const SERVE_FORCED_DEGRADE: &str = "serve.forced_degrade";
     /// End-to-end latency of admitted requests in µs, accept to
     /// response write (histogram).
     pub const SERVE_LATENCY_US: &str = "serve.latency_us";
+    /// Time admitted connections wait in the request queue in µs,
+    /// accept to dequeue by a worker (histogram).
+    pub const SERVE_QUEUE_WAIT_US: &str = "serve.queue_wait_us";
     /// Serve solves answered by a curve table already resident in the
     /// shard's LRU.
     pub const SERVE_CACHE_HITS: &str = "serve.cache_hits";
@@ -215,8 +227,13 @@ pub fn metric_help(name: &str) -> Option<&'static str> {
         metric::SERVE_QUEUE_DEPTH => "current serve request-queue depth",
         metric::SERVE_DEADLINE_EXCEEDED => "requests whose deadline budget expired mid-solve",
         metric::SERVE_MALFORMED => "connections rejected as malformed, oversized or timed out",
-        metric::SERVE_FORCED_DEGRADE => "requests forced below the exact rung by queue pressure",
+        metric::SERVE_FORCED_DEGRADE => {
+            "solve and sweep requests forced below the exact rung by queue pressure"
+        }
         metric::SERVE_LATENCY_US => "end-to-end latency of admitted requests in microseconds",
+        metric::SERVE_QUEUE_WAIT_US => {
+            "accept-to-dequeue wait of admitted requests in microseconds"
+        }
         metric::SERVE_CACHE_HITS => "serve solves answered by a table resident in the shard LRU",
         metric::SERVE_CACHE_MISSES => "serve solves inserting a fresh entry into the shard LRU",
         metric::SERVE_CACHE_EVICTIONS => "LRU entries evicted from a serve shard",
@@ -244,6 +261,8 @@ mod tests {
             super::span::SIM_CHIP,
             super::span::RESIDUAL_COMPARE,
             super::span::SERVE_REQUEST,
+            super::span::SERVE_READ,
+            super::span::SERVE_WRITE,
             super::metric::SOLVER_SOLVES,
             super::metric::SOLVER_CURVE_EVALS,
             super::metric::SWEEP_ITEMS,
@@ -284,6 +303,7 @@ mod tests {
             super::metric::SERVE_MALFORMED,
             super::metric::SERVE_FORCED_DEGRADE,
             super::metric::SERVE_LATENCY_US,
+            super::metric::SERVE_QUEUE_WAIT_US,
             super::metric::SERVE_CACHE_HITS,
             super::metric::SERVE_CACHE_MISSES,
             super::metric::SERVE_CACHE_EVICTIONS,
@@ -303,13 +323,13 @@ mod tests {
 
         // Every metric constant (entries after the span block above) must
         // carry Prometheus HELP text; span names must not.
-        for name in &all[13..] {
+        for name in &all[15..] {
             assert!(
                 super::metric_help(name).is_some(),
                 "metric {name:?} missing metric_help entry"
             );
         }
-        for name in &all[..13] {
+        for name in &all[..15] {
             assert!(
                 super::metric_help(name).is_none(),
                 "span {name:?} unexpectedly has metric_help"

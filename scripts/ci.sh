@@ -52,7 +52,7 @@ echo "=== benchmark harness build (perfbench/) ==="
 CARGO_TARGET_DIR=target/perfbench \
   cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "=== one perfbench pass each: §V records and sweep rows bit for bit ==="
+echo "=== one perfbench pass each: §V records, sweep rows and served replies bit for bit ==="
 # A validate or validate_l1 pass checks every op's record against
 # perfbench/reference/*.jsonl (36 + 24 records, shortest round-trip
 # floats); a sweep pass runs 72 `xmodel sweep` calls over the seeded
@@ -66,6 +66,15 @@ for workload in validate validate_l1 sweep; do
   echo "$result" | grep -q '"failed": 0,' \
     || { echo "perfbench $workload: output differs from its reference: $result" >&2; exit 1; }
 done
+# A serve pass boots `xmodel serve` daemons and drives one for a second
+# with a closed loop of clients: every reply must be a 2xx, every
+# /solve and /sweep exact, every 4th request's /solve point or /sweep
+# row bit-identical to the dense solver, and every daemon must drain
+# clean after `POST /quitck`.
+result="$(target/perfbench/release/perfbench --workload serve --seed 1 \
+  --seconds 1 --trace 0 --xmodel target/release/xmodel | tail -n 1)"
+echo "$result" | grep -q '"failed": 0,' \
+  || { echo "perfbench serve: a reply was not an exact 2xx equal to the dense solver, or a daemon did not drain clean: $result" >&2; exit 1; }
 
 echo "=== trace smoke test ==="
 trace="$(mktemp -t xmodel-trace.XXXXXX.jsonl)"
@@ -73,7 +82,7 @@ folded="$(mktemp -t xmodel-folded.XXXXXX.txt)"
 bench_ci="target/BENCH_ci.json"
 sweep1="$(mktemp -t xmodel-sweep1.XXXXXX.json)"
 sweepn="$(mktemp -t xmodel-sweepn.XXXXXX.json)"
-trap 'rm -f "$trace" "$folded" "$sweep1" "$sweepn" "${diff_base:-}" "${diff_new:-}" "${occ_svg:-}" "${serve_log:-}"' EXIT
+trap 'rm -f "$trace" "$folded" "$sweep1" "$sweepn" "${diff_base:-}" "${diff_new:-}" "${occ_svg:-}" "${serve_log:-}" "${wild_log:-}"' EXIT
 ./target/release/xmodel sim --workload gesummv --gpu fermi --l1 16 \
   --trace "$trace" > /dev/null
 grep -q '"kind":"sim.snapshot"' "$trace"
@@ -277,5 +286,29 @@ wait "$serve_pid" \
 # exercises the schema + serve_* surfacing path, no hardware baseline).
 BENCH_GATE_NO_ATTRIBUTION=1 scripts/bench_gate.sh "$bench_serve" "$bench_serve"
 rm -f "$serve_log"
+# A wildcard bind drains too: the accept thread blocks in `accept`, and
+# the drain wakes it through loopback on the bound port.
+wild_log="$(mktemp -t xmodel-serve-wild.XXXXXX.log)"
+./target/release/xmodel serve --addr 0.0.0.0:0 > "$wild_log" 2>&1 &
+wild_pid=$!
+for _ in $(seq 1 100); do
+  grep -q 'listening on' "$wild_log" && break
+  sleep 0.1
+done
+wild_port="$(sed -n 's#.*http://0\.0\.0\.0:##p' "$wild_log" | head -n 1)"
+test -n "$wild_port" \
+  || { echo "serve --addr 0.0.0.0:0 did not report its port" >&2; cat "$wild_log" >&2; exit 1; }
+"$sl" --addr "127.0.0.1:$wild_port" --post /quitck | grep -q '"status":"draining"'
+for _ in $(seq 1 50); do
+  kill -0 "$wild_pid" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$wild_pid" 2>/dev/null; then
+  kill "$wild_pid"
+  echo "serve on 0.0.0.0 still running 5 s after /quitck" >&2; exit 1
+fi
+wait "$wild_pid" \
+  || { echo "serve on 0.0.0.0 did not drain cleanly" >&2; cat "$wild_log" >&2; exit 1; }
+rm -f "$wild_log"
 
 echo "CI green."
