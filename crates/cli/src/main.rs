@@ -37,8 +37,9 @@ use xmodel_obs::manifest::RunManifest;
 ///
 /// * `0` — success; a *degraded* result is still exit 0 but prints a
 ///   `warning:` line on stderr with the provenance.
-/// * `1` — a well-formed invocation hit a typed model/simulation error,
-///   or an analysis command found what it was asked to look for
+/// * `1` — a well-formed invocation hit a typed model/simulation error
+///   or an unreadable input file, or an analysis command found what it
+///   was asked to look for
 ///   (`trace-diff`: significant differences — mirroring `bench-report
 ///   --compare`'s regression exit).
 /// * `2` — usage error: unknown command/flag/value (usage text follows).
@@ -289,10 +290,13 @@ fn usage() {
          \n\
          exit codes:\n\
            0  success (degraded results add a `warning:` line on stderr)\n\
-           1  typed model/simulation error, or trace-diff differences found\n\
+           1  typed model/simulation error, an unreadable input file, or trace-diff differences found\n\
            2  usage error\n"
     );
 }
+
+/// Every flag `xmodel trace-report` reads.
+const TRACE_REPORT_FLAGS: &[&str] = &["timeline", "svg", "profile"];
 
 fn cmd_trace_report(args: &[String]) -> Result<(), CliError> {
     let file = args
@@ -300,12 +304,13 @@ fn cmd_trace_report(args: &[String]) -> Result<(), CliError> {
         .filter(|a| !a.starts_with("--"))
         .ok_or_else(|| "trace-report: trace file required".to_string())?;
     let flags = parse_flags(&args[1..]);
+    reject_unknown_flags("trace-report", &flags, TRACE_REPORT_FLAGS)?;
     let path = std::path::Path::new(file);
-    let report =
-        xmodel_obs::report::TraceReport::from_path(path).map_err(|e| format!("{file}: {e}"))?;
+    let unreadable = |e: std::io::Error| CliError::Model(format!("{file}: {e}"));
+    let report = xmodel_obs::report::TraceReport::from_path(path).map_err(unreadable)?;
     print!("{}", report.render());
     if flags.contains_key("timeline") || flags.contains_key("svg") {
-        let tl = xmodel::viz::Timeline::from_path(path).map_err(|e| format!("{file}: {e}"))?;
+        let tl = xmodel::viz::Timeline::from_path(path).map_err(unreadable)?;
         println!("\n{}", tl.render_ascii(72, 16));
         if let Some(svg) = flags.get("svg") {
             if !tl.is_empty() {
@@ -316,12 +321,14 @@ fn cmd_trace_report(args: &[String]) -> Result<(), CliError> {
         }
     }
     if flags.contains_key("profile") {
-        let profile = xmodel_obs::profile::SpanProfile::from_path(path)
-            .map_err(|e| format!("{file}: {e}"))?;
+        let profile = xmodel_obs::profile::SpanProfile::from_path(path).map_err(unreadable)?;
         println!("\n{}", profile.render().trim_end());
     }
     Ok(())
 }
+
+/// Every flag `xmodel sim-report` reads.
+const SIM_REPORT_FLAGS: &[&str] = &["json", "svg", "heatmap"];
 
 /// `xmodel sim-report TRACE` — occupancy/stall/DRAM digest of a
 /// simulator trace recorded with `xmodel sim ... --trace FILE`. Renders
@@ -335,6 +342,7 @@ fn cmd_sim_report(args: &[String]) -> Result<(), CliError> {
         .filter(|a| !a.starts_with("--"))
         .ok_or_else(|| "sim-report: trace file required".to_string())?;
     let flags = parse_flags(&args[1..]);
+    reject_unknown_flags("sim-report", &flags, SIM_REPORT_FLAGS)?;
     let path = std::path::Path::new(file);
     let trace = xmodel_obs::simtrace::SimTrace::from_path(path)
         .map_err(|e| CliError::Model(format!("{file}: {e}")))?;
@@ -378,6 +386,10 @@ fn cmd_sim_report(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Every flag `xmodel residuals` reads (`--gpu` is a synonym of
+/// `--preset`).
+const RESIDUALS_FLAGS: &[&str] = &["preset", "gpu", "workload", "l1", "rel", "json"];
+
 /// `xmodel residuals TRACE` — align a recorded simtrace against the
 /// analytic model's predicted operating point and rank the per-variable
 /// residuals (`xmodel-residual/1`). The preset/workload/L1 default to
@@ -392,6 +404,7 @@ fn cmd_residuals(args: &[String]) -> Result<(), CliError> {
         .filter(|a| !a.starts_with("--"))
         .ok_or_else(|| "residuals: trace file required".to_string())?;
     let flags = parse_flags(&args[1..]);
+    reject_unknown_flags("residuals", &flags, RESIDUALS_FLAGS)?;
     let path = std::path::Path::new(file);
     let trace = xmodel_obs::simtrace::SimTrace::from_path(path)
         .map_err(|e| CliError::Model(format!("{file}: {e}")))?;
@@ -481,15 +494,19 @@ fn cmd_residuals(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Every flag `xmodel profile` reads.
+const PROFILE_FLAGS: &[&str] = &["folded", "top"];
+
 fn cmd_profile(args: &[String]) -> Result<(), CliError> {
     let file = args
         .first()
         .filter(|a| !a.starts_with("--"))
         .ok_or_else(|| "profile: trace file required".to_string())?;
     let flags = parse_flags(&args[1..]);
+    reject_unknown_flags("profile", &flags, PROFILE_FLAGS)?;
     let path = std::path::Path::new(file);
-    let profile =
-        xmodel_obs::profile::SpanProfile::from_path(path).map_err(|e| format!("{file}: {e}"))?;
+    let profile = xmodel_obs::profile::SpanProfile::from_path(path)
+        .map_err(|e| CliError::Model(format!("{file}: {e}")))?;
     print!("{}", profile.render());
     if !profile.is_empty() {
         let top = match flags.get("top") {
@@ -509,6 +526,9 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Every flag `xmodel trace-diff` reads.
+const TRACE_DIFF_FLAGS: &[&str] = &["json", "folded", "top", "min-us", "rel"];
+
 /// `xmodel trace-diff BASE NEW` — regression attribution between two
 /// trace runs. Renders the aligned per-span delta table (or `--json`
 /// one JSON line, or `--folded FILE` a signed differential folded
@@ -524,6 +544,7 @@ fn cmd_trace_diff(args: &[String]) -> Result<(), CliError> {
         }
     };
     let flags = parse_flags(&args[2..]);
+    reject_unknown_flags("trace-diff", &flags, TRACE_DIFF_FLAGS)?;
     let top = match flags.get("top") {
         Some(v) => v.parse::<usize>().map_err(|e| format!("--top: {e}"))?,
         None => 20,
@@ -773,16 +794,38 @@ fn report(
     Ok(())
 }
 
+/// Every flag `xmodel draw` reads.
+const DRAW_FLAGS: &[&str] = &[
+    "gpu",
+    "dp",
+    "m",
+    "r",
+    "l",
+    "z",
+    "e",
+    "n",
+    "l1",
+    "alpha",
+    "beta",
+    "l1-latency",
+    "svg",
+];
+
 fn cmd_draw(flags: HashMap<String, String>) -> Result<(), CliError> {
+    reject_unknown_flags("draw", &flags, DRAW_FLAGS)?;
     let (model, units) = build_model(&flags)?;
     report(&model, units.as_ref(), flags.get("svg"))
 }
+
+/// Every flag `xmodel workload` reads.
+const WORKLOAD_FLAGS: &[&str] = &["gpu", "l1", "svg"];
 
 fn cmd_workload(args: &[String]) -> Result<(), CliError> {
     let name = args
         .first()
         .ok_or_else(|| "workload name required".to_string())?;
     let flags = parse_flags(&args[1..]);
+    reject_unknown_flags("workload", &flags, WORKLOAD_FLAGS)?;
     let w = workload_by_name(name)?;
     let gpu = gpu_by_name(flags.get("gpu").map(String::as_str).unwrap_or("kepler"))?;
     let l1 = get_l1_kib(&flags, 0)?;
@@ -798,7 +841,11 @@ fn cmd_workload(args: &[String]) -> Result<(), CliError> {
     report(&model, Some(&gpu.units(precision)), flags.get("svg"))
 }
 
+/// Every flag `xmodel validate` reads.
+const VALIDATE_FLAGS: &[&str] = &["gpu"];
+
 fn cmd_validate(flags: HashMap<String, String>) -> Result<(), CliError> {
+    reject_unknown_flags("validate", &flags, VALIDATE_FLAGS)?;
     let gpu = gpu_by_name(flags.get("gpu").map(String::as_str).unwrap_or("kepler"))?;
     println!("validating on {} ...", gpu.name);
     let rep = validate_suite(&gpu).map_err(CliError::model)?;
@@ -1095,7 +1142,11 @@ fn cmd_sweep(flags: HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Every flag `xmodel whatif` reads.
+const WHATIF_FLAGS: &[&str] = &["gpu", "workload", "l1"];
+
 fn cmd_whatif(flags: HashMap<String, String>) -> Result<(), CliError> {
+    reject_unknown_flags("whatif", &flags, WHATIF_FLAGS)?;
     let gpu = gpu_by_name(flags.get("gpu").map(String::as_str).unwrap_or("fermi"))?;
     let w = workload_by_name(
         flags
@@ -1187,13 +1238,28 @@ fn get_watermark(flags: &HashMap<String, String>, key: &str) -> Result<Option<f6
     }
 }
 
-/// `xmodel serve`: boot the overload-safe daemon (`core::serve`) and
+/// Every flag `xmodel serve` reads.
+const SERVE_FLAGS: &[&str] = &[
+    "addr",
+    "workers",
+    "queue",
+    "timeout",
+    "drain-timeout",
+    "grid-watermark",
+    "baseline-watermark",
+    "shards",
+    "io-timeout",
+    "samples",
+];
+
+/// `xmodel serve`: boot the overload-safe daemon (`xmodel-serve`) and
 /// block until it drains (`POST /quitck`). The listen address is
 /// printed to stdout (and flushed) before blocking so scripts can bind
 /// port 0 and scrape the resolved port. Worker stalls from the global
 /// fault spec (`serve-stall=MS`) are wired through for chaos testing.
 fn cmd_serve(flags: HashMap<String, String>) -> Result<(), CliError> {
-    use xmodel::core::serve::{ServeConfig, Server};
+    use xmodel_serve::{ServeConfig, Server};
+    reject_unknown_flags("serve", &flags, SERVE_FLAGS)?;
     let defaults = ServeConfig::default();
     let cfg = ServeConfig {
         addr: flags

@@ -344,9 +344,44 @@ fn profile_and_trace_report_survive_malformed_traces() {
         assert!(ok, "{command}: {out}");
         assert!(out.contains("1 malformed"), "{command}: {out}");
     }
+
+    // A simulator trace with an invalid UTF-8 byte appended reads the
+    // same way in every trace command: the byte is one malformed line.
+    let sim = temp_path("sim-utf8.jsonl");
+    let (ok, _, err) = run(&[
+        "sim",
+        "--workload",
+        "gesummv",
+        "--gpu",
+        "fermi",
+        "--l1",
+        "16",
+        "--trace",
+        sim.to_str().unwrap(),
+    ]);
+    assert!(ok, "{err}");
+    let invalid = temp_path("sim-utf8-invalid.jsonl");
+    let mut bytes = std::fs::read(&sim).unwrap();
+    bytes.extend_from_slice(b"\xff\n");
+    std::fs::write(&invalid, bytes).unwrap();
+    let (sim, invalid) = (sim.to_str().unwrap(), invalid.to_str().unwrap());
+    let commands: [&[&str]; 5] = [
+        &["trace-report", invalid, "--timeline"],
+        &["profile", invalid],
+        &["sim-report", invalid],
+        &["residuals", invalid],
+        &["trace-diff", invalid, sim],
+    ];
+    for command in commands {
+        let (ok, out, err) = run(command);
+        assert!(ok, "{command:?}: {err}");
+        assert!(!out.is_empty(), "{command:?}: no report");
+    }
     std::fs::remove_file(&empty).ok();
     std::fs::remove_file(&torn).ok();
     std::fs::remove_file(&deep).ok();
+    std::fs::remove_file(sim).ok();
+    std::fs::remove_file(invalid).ok();
 }
 
 #[test]
@@ -367,19 +402,68 @@ fn sweep_requires_n_max() {
     assert!(err.contains("--n-max"), "{err}");
 }
 
+/// Run `xmodel` to completion, killing it and failing the test if it
+/// is still running after 20 s (a `serve` that started instead of
+/// rejecting its arguments).
+fn run_bounded(args: &[&str]) -> std::process::Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_xmodel"))
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn xmodel");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while child.try_wait().expect("poll child").is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            panic!("{args:?}: still running after 20 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect output")
+}
+
+/// Every command rejects a flag it does not read, before doing any
+/// work: a misspelt flag must not run the default in its place.
 #[test]
-fn sweep_rejects_flags_it_does_not_read() {
-    for flag in ["--warm", "--point"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_xmodel"))
-            .args([
-                "sweep", "--gpu", "kepler", "--z", "24", "--n-max", "64", flag, "4096",
-            ])
-            .output()
-            .expect("spawn xmodel");
+fn commands_reject_flags_they_do_not_read() {
+    let simtrace = concat!(env!("CARGO_MANIFEST_DIR"), "/../../SIMTRACE_seed.jsonl");
+    let cases: [(&[&str], &str); 13] = [
+        (
+            &["draw", "--gpu", "kepler", "--z", "20", "--n", "48"],
+            "--l1-lat",
+        ),
+        (&["workload", "gesummv", "--gpu", "fermi"], "--L1"),
+        (&["validate", "--gpu", "fermi"], "--l1"),
+        (&["whatif", "--gpu", "fermi"], "--wokload"),
+        (
+            &["serve", "--addr", "127.0.0.1:0", "--workers", "1"],
+            "--queue-capacity",
+        ),
+        (&["sim", "--workload", "nn", "--gpu", "fermi"], "--warp"),
+        (
+            &["sweep", "--gpu", "kepler", "--z", "24", "--n-max", "64"],
+            "--warm",
+        ),
+        (
+            &["sweep", "--gpu", "kepler", "--z", "24", "--n-max", "64"],
+            "--point",
+        ),
+        (&["trace-report", simtrace], "--timelines"),
+        (&["sim-report", simtrace], "--heat-map"),
+        (&["residuals", simtrace], "--tol"),
+        (&["profile", simtrace], "--fold"),
+        (&["trace-diff", simtrace, simtrace], "--min-ms"),
+    ];
+    for (args, flag) in cases {
+        let out = run_bounded(&[args, &[flag, "16"]].concat());
         let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{flag}: {err}");
-        assert!(err.contains(flag), "{flag} not named: {err}");
-        assert!(out.stdout.is_empty(), "{flag}: no rows on a usage error");
+        assert_eq!(out.status.code(), Some(2), "{args:?} {flag}: {err}");
+        assert!(err.contains(flag), "{args:?}: {flag} not named: {err}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?} {flag}: no run on a usage error"
+        );
     }
 }
 
@@ -741,17 +825,30 @@ fn trace_diff_usage_and_io_errors() {
     let (ok, _, err) = run(&["trace-diff", "a.jsonl", "b.jsonl", "--rel", "-1"]);
     assert!(!ok);
     assert!(err.contains("--rel"), "{err}");
+    // An unreadable trace is a typed error (exit 1, no usage text) in
+    // every command that reads one.
     let missing = temp_path("td-missing.jsonl");
-    let (ok, _, err) = run(&[
-        "trace-diff",
-        missing.to_str().unwrap(),
-        missing.to_str().unwrap(),
-    ]);
-    assert!(!ok);
-    assert!(
-        err.contains("error:"),
-        "unreadable trace is a typed error: {err}"
-    );
+    let missing = missing.to_str().unwrap();
+    let commands: [&[&str]; 5] = [
+        &["trace-report", missing],
+        &["profile", missing],
+        &["sim-report", missing],
+        &["residuals", missing],
+        &["trace-diff", missing, missing],
+    ];
+    for command in commands {
+        let out = Command::new(env!("CARGO_BIN_EXE_xmodel"))
+            .args(command)
+            .output()
+            .expect("spawn xmodel");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command:?}: {err}");
+        assert!(
+            err.contains("error:"),
+            "{command:?}: unreadable trace is a typed error: {err}"
+        );
+        assert!(!err.contains("usage"), "{command:?}: {err}");
+    }
 }
 
 #[test]
@@ -799,21 +896,7 @@ fn serve_rejects_meaningless_watermarks() {
         ("--grid-watermark", "inf"),
     ];
     for (flag, value) in cases {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_xmodel"))
-            .args(["serve", "--addr", "127.0.0.1:0", flag, value])
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::piped())
-            .spawn()
-            .expect("spawn xmodel serve");
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        while child.try_wait().expect("poll child").is_none() {
-            if std::time::Instant::now() > deadline {
-                child.kill().ok();
-                panic!("{flag} {value}: serve started instead of rejecting it");
-            }
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        }
-        let out = child.wait_with_output().expect("collect output");
+        let out = run_bounded(&["serve", "--addr", "127.0.0.1:0", flag, value]);
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{flag} {value}: {err}");
         assert!(err.contains(flag), "{flag} not named: {err}");

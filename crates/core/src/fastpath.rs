@@ -706,23 +706,14 @@ pub fn reference_stats(model: &XModel, samples: usize) -> (Equilibria, SolveStat
 #[derive(Debug, Clone, Default)]
 pub struct SolveCache {
     table: Option<CurveTable>,
-    resolution: usize,
     rebuilds: u64,
     hits: u64,
 }
 
 impl SolveCache {
-    /// Empty cache at [`DEFAULT_RESOLUTION`].
+    /// Empty cache; its tables are built at [`DEFAULT_RESOLUTION`].
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Empty cache with an explicit table resolution.
-    pub fn with_resolution(resolution: usize) -> Self {
-        Self {
-            resolution,
-            ..Self::default()
-        }
     }
 
     /// Solve at dense-scan resolution `samples`, building or growing the
@@ -757,12 +748,7 @@ impl SolveCache {
             while k_max < n {
                 k_max *= 2.0;
             }
-            let resolution = if self.resolution == 0 {
-                DEFAULT_RESOLUTION
-            } else {
-                self.resolution
-            };
-            self.table = Some(CurveTable::build_with(model, k_max, resolution));
+            self.table = Some(CurveTable::build(model, k_max));
             self.rebuilds += 1;
         } else {
             self.hits += 1;

@@ -81,7 +81,6 @@ pub mod params;
 pub mod presets;
 pub mod report;
 pub mod sensitivity;
-pub mod serve;
 pub mod solver;
 pub mod stability;
 pub mod sweep;

@@ -1,5 +1,5 @@
 //! Minimal bounded HTTP/1.x plumbing shared by the Prometheus exporter
-//! ([`crate::export`]) and the `xmodel serve` daemon (`core::serve`).
+//! ([`crate::export`]) and the `xmodel serve` daemon (`xmodel-serve`).
 //!
 //! Std-only by design — no HTTP framework, no new dependencies — but
 //! hardened against the failure modes a socket facing real clients

@@ -116,6 +116,18 @@ pub fn init_jsonl(path: &std::path::Path) -> std::io::Result<()> {
     Ok(())
 }
 
+/// Read the JSONL trace at `path` and hand its lines to `parse`, the one
+/// reader behind every trace consumer's `from_path`. Invalid UTF-8 is
+/// replaced, not fatal: a torn write mid-line must still yield a
+/// best-effort result. Only a missing or unreadable file errors.
+pub fn read_trace_lines<T>(
+    path: &std::path::Path,
+    parse: impl FnOnce(std::str::Lines<'_>) -> T,
+) -> std::io::Result<T> {
+    let bytes = std::fs::read(path)?;
+    Ok(parse(String::from_utf8_lossy(&bytes).lines()))
+}
+
 /// Install a JSONL sink at `$XMODEL_TRACE` if that variable is set.
 /// Returns the path used, or `None` when the variable is unset. A path
 /// that cannot be created is reported on stderr and tracing stays off.

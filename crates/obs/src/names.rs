@@ -38,7 +38,7 @@ pub mod span {
     /// (`xmodel residuals`).
     pub const RESIDUAL_COMPARE: &str = "residual.compare";
     /// One admitted request handled by the `xmodel serve` daemon
-    /// (`core::serve`): routing (body parse and solve) through the
+    /// (`xmodel-serve`): routing (body parse and solve) through the
     /// response write. The request read and the admission queue lie
     /// outside it.
     pub const SERVE_REQUEST: &str = "serve.request";
@@ -148,7 +148,7 @@ pub mod metric {
     /// tolerance.
     pub const RESIDUAL_EXCEEDANCES: &str = "residual.exceedances";
 
-    // --- core::serve daemon (`xmodel serve`) ----------------------------
+    // --- xmodel-serve daemon (`xmodel serve`) ---------------------------
 
     /// Requests admitted and answered by the serve worker pool
     /// (any status, including typed errors).

@@ -107,12 +107,11 @@ impl SpanProfile {
         profile
     }
 
-    /// Aggregate a profile by reading `path`. Invalid UTF-8 is replaced,
-    /// not fatal; only a missing/unreadable file errors.
+    /// Aggregate a profile by reading `path` through
+    /// [`crate::read_trace_lines`]: invalid UTF-8 is replaced, not fatal;
+    /// only a missing/unreadable file errors.
     pub fn from_path(path: &std::path::Path) -> std::io::Result<SpanProfile> {
-        let bytes = std::fs::read(path)?;
-        let text = String::from_utf8_lossy(&bytes);
-        Ok(Self::from_lines(text.lines()))
+        crate::read_trace_lines(path, |lines| Self::from_lines(lines))
     }
 
     fn finish_warnings(&mut self) {

@@ -63,13 +63,11 @@ impl TraceReport {
         report
     }
 
-    /// Build a report by reading `path`. Invalid UTF-8 is replaced, not
-    /// fatal — a torn write mid-line must still yield a best-effort
-    /// report; only a missing/unreadable file errors.
+    /// Build a report by reading `path` through
+    /// [`crate::read_trace_lines`]: invalid UTF-8 is replaced, not fatal;
+    /// only a missing/unreadable file errors.
     pub fn from_path(path: &std::path::Path) -> std::io::Result<TraceReport> {
-        let bytes = std::fs::read(path)?;
-        let text = String::from_utf8_lossy(&bytes);
-        Ok(Self::from_lines(text.lines()))
+        crate::read_trace_lines(path, |lines| Self::from_lines(lines))
     }
 
     fn record_span(&mut self, value: &JsonValue) {

@@ -22,7 +22,6 @@
 
 use crate::json::{self, JsonValue};
 use serde::Serialize;
-use std::io::BufRead;
 
 /// Version tag for the simulator probe stream; bump when the
 /// `sim.probe` / `sim.probe_header` field set changes incompatibly.
@@ -178,15 +177,11 @@ impl SimTrace {
         trace
     }
 
-    /// Parse a trace file from disk.
+    /// Parse a trace file from disk through [`crate::read_trace_lines`]:
+    /// invalid UTF-8 is replaced, not fatal; only a missing/unreadable
+    /// file errors.
     pub fn from_path(path: &std::path::Path) -> std::io::Result<SimTrace> {
-        let file = std::fs::File::open(path)?;
-        let reader = std::io::BufReader::new(file);
-        let mut lines = Vec::new();
-        for line in reader.lines() {
-            lines.push(line?);
-        }
-        Ok(SimTrace::from_lines(lines.iter().map(String::as_str)))
+        crate::read_trace_lines(path, |lines| Self::from_lines(lines))
     }
 
     /// No probe frames at all?

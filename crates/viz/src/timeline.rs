@@ -59,10 +59,10 @@ impl Timeline {
         tl
     }
 
-    /// Read a JSONL trace file and build the timeline.
+    /// Read a JSONL trace file through [`xmodel_obs::read_trace_lines`]
+    /// (invalid UTF-8 is replaced, not fatal) and build the timeline.
     pub fn from_path(path: &std::path::Path) -> std::io::Result<Timeline> {
-        let text = std::fs::read_to_string(path)?;
-        Ok(Timeline::from_lines(text.lines()))
+        xmodel_obs::read_trace_lines(path, |lines| Timeline::from_lines(lines))
     }
 
     /// True when the trace held no snapshot events.

@@ -8,6 +8,14 @@ cd "$(dirname "$0")/.."
 echo "=== cargo fmt --check ==="
 cargo fmt --check
 
+echo "=== model crate boundary (no sockets in xmodel-core) ==="
+# The daemon lives in crates/serve (xmodel-serve); the analytic-model
+# crate binds no socket and runs no accept loop or worker pool.
+if grep -rnE 'std::net|TcpListener|TcpStream' crates/core/src; then
+  echo "crates/core/src names std::net, TcpListener or TcpStream: sockets belong in crates/serve" >&2
+  exit 1
+fi
+
 echo "=== xlint (workspace static analysis) ==="
 # --deny-stale: a baseline entry whose finding was fixed must be pruned
 # (scripts/xlint_baseline.sh), so the allowlist only ever shrinks by
@@ -82,7 +90,7 @@ folded="$(mktemp -t xmodel-folded.XXXXXX.txt)"
 bench_ci="target/BENCH_ci.json"
 sweep1="$(mktemp -t xmodel-sweep1.XXXXXX.json)"
 sweepn="$(mktemp -t xmodel-sweepn.XXXXXX.json)"
-trap 'rm -f "$trace" "$folded" "$sweep1" "$sweepn" "${diff_base:-}" "${diff_new:-}" "${occ_svg:-}" "${serve_log:-}" "${wild_log:-}"' EXIT
+trap 'rm -f "$trace" "$folded" "$sweep1" "$sweepn" "${diff_base:-}" "${diff_new:-}" "${occ_svg:-}" "${invalid:-}" "${serve_log:-}" "${wild_log:-}"' EXIT
 ./target/release/xmodel sim --workload gesummv --gpu fermi --l1 16 \
   --trace "$trace" > /dev/null
 grep -q '"kind":"sim.snapshot"' "$trace"
@@ -155,6 +163,20 @@ test "$res_status" -eq 1 \
 # moves residuals — keep this comparison advisory.
 ./target/release/xmodel residuals SIMTRACE_seed.jsonl > /dev/null \
   || echo "warning: committed SIMTRACE_seed.jsonl exceeds the default residual tolerance" >&2
+
+echo "=== trace readers decode invalid UTF-8 lossily ==="
+# A torn write can leave any byte behind. Every trace command reads the
+# trace above with one invalid UTF-8 byte appended as it reads the
+# original (exit 0): the byte is one malformed line, not a fatal error.
+invalid="$(mktemp -t xmodel-invalid.XXXXXX.jsonl)"
+cp "$trace" "$invalid"
+printf '\377' >> "$invalid"
+./target/release/xmodel trace-report "$invalid" --timeline > /dev/null
+./target/release/xmodel profile "$invalid" > /dev/null
+./target/release/xmodel sim-report "$invalid" > /dev/null
+./target/release/xmodel residuals "$invalid" > /dev/null
+./target/release/xmodel trace-diff "$invalid" "$trace" > /dev/null
+rm -f "$invalid"
 
 echo "=== fault-matrix chaos suite ==="
 cargo test -q -p xmodel --test fault_matrix

@@ -9,8 +9,8 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-use xmodel::core::serve::{ServeConfig, Server};
-use xmodel::sim::{FaultInjector, FaultSpec};
+use xmodel_serve::{ServeConfig, Server};
+use xmodel_sim::{FaultInjector, FaultSpec};
 
 /// Generous client-side cap: anything slower than this counts as hung.
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
