@@ -37,9 +37,9 @@ use xmodel_obs::manifest::RunManifest;
 ///
 /// * `0` — success; a *degraded* result is still exit 0 but prints a
 ///   `warning:` line on stderr with the provenance.
-/// * `1` — a well-formed invocation hit a typed model/simulation error
-///   or an unreadable input file, or an analysis command found what it
-///   was asked to look for
+/// * `1` — a well-formed invocation hit a typed model/simulation error,
+///   an unreadable input file or an unwritable output file, or an
+///   analysis command found what it was asked to look for
 ///   (`trace-diff`: significant differences — mirroring `bench-report
 ///   --compare`'s regression exit).
 /// * `2` — usage error: unknown command/flag/value (usage text follows).
@@ -111,8 +111,8 @@ fn main() -> ExitCode {
         }
     };
     let result = match cmd {
-        "list" => cmd_list(),
-        "glossary" => cmd_glossary(),
+        "list" => cmd_list(rest),
+        "glossary" => cmd_glossary(rest),
         "draw" => cmd_draw(parse_flags(rest)),
         "workload" => cmd_workload(rest),
         "validate" => cmd_validate(parse_flags(rest)),
@@ -290,7 +290,7 @@ fn usage() {
          \n\
          exit codes:\n\
            0  success (degraded results add a `warning:` line on stderr)\n\
-           1  typed model/simulation error, an unreadable input file, or trace-diff differences found\n\
+           1  typed model/simulation error, an unreadable input or unwritable output file, or trace-diff differences found\n\
            2  usage error\n"
     );
 }
@@ -313,9 +313,10 @@ fn cmd_trace_report(args: &[String]) -> Result<(), CliError> {
         let tl = xmodel::viz::Timeline::from_path(path).map_err(unreadable)?;
         println!("\n{}", tl.render_ascii(72, 16));
         if let Some(svg) = flags.get("svg") {
-            if !tl.is_empty() {
-                std::fs::write(svg, tl.to_chart().to_svg(640.0, 400.0))
-                    .map_err(|e| e.to_string())?;
+            if tl.is_empty() {
+                println!("skipping {svg}: no snapshot frames to chart");
+            } else {
+                write_output(svg, tl.to_chart().to_svg(640.0, 400.0))?;
                 println!("wrote {svg}");
             }
         }
@@ -368,16 +369,14 @@ fn cmd_sim_report(args: &[String]) -> Result<(), CliError> {
         if occ.is_empty() {
             notice(format!("skipping {svg}: no probe frames to chart"));
         } else {
-            std::fs::write(svg, occ.to_chart().to_svg(640.0, 400.0))
-                .map_err(|e| format!("{svg}: {e}"))?;
+            write_output(svg, occ.to_chart().to_svg(640.0, 400.0))?;
             notice(format!("wrote {svg}"));
         }
     }
     if let Some(hm_path) = flags.get("heatmap") {
         match occ.to_heatmap() {
             Some(hm) => {
-                std::fs::write(hm_path, hm.to_svg(640.0, 300.0))
-                    .map_err(|e| format!("{hm_path}: {e}"))?;
+                write_output(hm_path, hm.to_svg(640.0, 300.0))?;
                 notice(format!("wrote {hm_path}"));
             }
             None => notice(format!("skipping {hm_path}: no probe frames to chart")),
@@ -520,7 +519,7 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
         );
     }
     if let Some(folded) = flags.get("folded") {
-        std::fs::write(folded, profile.to_folded()).map_err(|e| format!("{folded}: {e}"))?;
+        write_output(folded, profile.to_folded())?;
         println!("wrote {folded}");
     }
     Ok(())
@@ -578,7 +577,7 @@ fn cmd_trace_diff(args: &[String]) -> Result<(), CliError> {
         }
     }
     if let Some(folded) = flags.get("folded") {
-        std::fs::write(folded, diff.to_folded()).map_err(|e| format!("{folded}: {e}"))?;
+        write_output(folded, diff.to_folded())?;
         // Keep stdout pure JSON under --json so the output stays
         // machine-parseable; the notice is advisory either way.
         if flags.contains_key("json") {
@@ -636,6 +635,24 @@ fn reject_unknown_flags(
     )))
 }
 
+/// A usage error for a command that takes no arguments: it names the
+/// flags, or else the first stray argument.
+fn reject_arguments(command: &str, args: &[String]) -> Result<(), CliError> {
+    reject_unknown_flags(command, &parse_flags(args), &[])?;
+    match args.first() {
+        Some(arg) => Err(CliError::Usage(format!(
+            "{command}: unexpected argument `{arg}`"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Write an output file; failing that is a typed error naming the file
+/// (exit 1), not a usage error.
+fn write_output(path: &str, contents: impl AsRef<[u8]>) -> Result<(), CliError> {
+    std::fs::write(path, contents).map_err(|e| CliError::Model(format!("{path}: {e}")))
+}
+
 fn get_f64(flags: &HashMap<String, String>, key: &str) -> Result<Option<f64>, String> {
     match flags.get(key) {
         Some(v) => v
@@ -682,7 +699,8 @@ fn workload_by_name(name: &str) -> Result<Workload, String> {
     Workload::by_name(name).ok_or_else(|| format!("unknown workload `{name}` (try `xmodel list`)"))
 }
 
-fn cmd_list() -> Result<(), CliError> {
+fn cmd_list(args: &[String]) -> Result<(), CliError> {
+    reject_arguments("list", args)?;
     println!("GPUs (Table II):");
     for g in GpuSpec::all() {
         println!(
@@ -701,7 +719,8 @@ fn cmd_list() -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_glossary() -> Result<(), CliError> {
+fn cmd_glossary(args: &[String]) -> Result<(), CliError> {
+    reject_arguments("glossary", args)?;
     for e in xmodel::core::params::TABLE_I {
         println!("  {:<6} {}", e.symbol, e.description);
     }
@@ -788,7 +807,7 @@ fn report(
     println!("\n{}", render::xgraph_ascii(&graph, 72, 16));
     if let Some(path) = svg {
         let svg_text = render::xgraph_chart(&graph, units).to_svg(640.0, 400.0);
-        std::fs::write(path, svg_text).map_err(|e| e.to_string())?;
+        write_output(path, svg_text)?;
         println!("wrote {path}");
     }
     Ok(())
@@ -1134,7 +1153,7 @@ fn cmd_sweep(flags: HashMap<String, String>) -> Result<(), CliError> {
 
     match flags.get("out") {
         Some(path) => {
-            std::fs::write(path, out).map_err(|e| format!("--out {path}: {e}"))?;
+            write_output(path, out)?;
             println!("wrote {path} ({points} points, {jobs} jobs)");
         }
         None => print!("{out}"),

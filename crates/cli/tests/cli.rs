@@ -428,7 +428,9 @@ fn run_bounded(args: &[&str]) -> std::process::Output {
 #[test]
 fn commands_reject_flags_they_do_not_read() {
     let simtrace = concat!(env!("CARGO_MANIFEST_DIR"), "/../../SIMTRACE_seed.jsonl");
-    let cases: [(&[&str], &str); 13] = [
+    let cases: [(&[&str], &str); 15] = [
+        (&["list"], "--gpu"),
+        (&["glossary"], "--bogus"),
         (
             &["draw", "--gpu", "kepler", "--z", "20", "--n", "48"],
             "--l1-lat",
@@ -465,6 +467,63 @@ fn commands_reject_flags_they_do_not_read() {
             "{args:?} {flag}: no run on a usage error"
         );
     }
+}
+
+/// `list` and `glossary` take no arguments, stray words included.
+#[test]
+fn list_and_glossary_reject_stray_arguments() {
+    for command in ["list", "glossary"] {
+        let (ok, out, err) = run(&[command, "fermi"]);
+        assert!(!ok, "{command}: {out}");
+        assert!(err.contains("`fermi`"), "{command}: {err}");
+        assert!(out.is_empty(), "{command}: no run on a usage error");
+    }
+}
+
+/// An output file that cannot be written is a typed error naming the
+/// file (exit 1, no usage text), in every command that writes one.
+#[test]
+fn unwritable_output_file_is_a_typed_error() {
+    let simtrace = concat!(env!("CARGO_MANIFEST_DIR"), "/../../SIMTRACE_seed.jsonl");
+    let bad = temp_path("no-such-dir").join("out");
+    let bad = bad.to_str().unwrap();
+    let cases: [&[&str]; 8] = [
+        &[
+            "draw", "--gpu", "fermi", "--z", "4", "--e", "1", "--n", "32", "--svg", bad,
+        ],
+        &["workload", "nn", "--gpu", "fermi", "--svg", bad],
+        &["trace-report", simtrace, "--svg", bad],
+        &["sim-report", simtrace, "--svg", bad],
+        &["sim-report", simtrace, "--heatmap", bad],
+        &["profile", simtrace, "--folded", bad],
+        &["trace-diff", simtrace, simtrace, "--folded", bad],
+        &[
+            "sweep", "--gpu", "kepler", "--z", "24", "--n-max", "64", "--out", bad,
+        ],
+    ];
+    for args in cases {
+        let out = run_bounded(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(&format!("error: {bad}: ")), "{args:?}: {err}");
+        assert!(!err.contains("usage"), "{args:?}: {err}");
+    }
+}
+
+/// `trace-report --svg` on a trace without simulator snapshots says
+/// it writes nothing.
+#[test]
+fn trace_report_svg_says_when_it_skips() {
+    let trace = concat!(env!("CARGO_MANIFEST_DIR"), "/../../TRACE_seed.jsonl");
+    let svg = temp_path("tr-skip.svg");
+    let svg = svg.to_str().unwrap();
+    let (ok, out, err) = run(&["trace-report", trace, "--svg", svg]);
+    assert!(ok, "{err}");
+    assert!(
+        out.contains(&format!("skipping {svg}: no snapshot frames to chart")),
+        "{out}"
+    );
+    assert!(!std::path::Path::new(svg).exists());
 }
 
 /// `sim` rejects what it does not read instead of running the default:
