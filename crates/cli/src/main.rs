@@ -23,6 +23,8 @@
 #![forbid(unsafe_code)]
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::OnceLock;
 use xmodel::core::degrade::DegradeForce;
@@ -244,55 +246,61 @@ fn manifest_params(rest: &[String]) -> BTreeMap<String, String> {
     params
 }
 
+/// The `xmodel help` text, printed on stderr after a usage error too.
+/// Each row keeps its leading spaces: continuation rows line up under
+/// their command's first flag, or under the description column.
+const USAGE: &str = "\
+usage: xmodel <command>
+
+commands:
+  list                               GPUs and workloads
+  glossary                           Table I parameters
+  draw --m M --r R --l L --z Z --e E --n N [--l1 KIB --alpha A --beta B] [--svg FILE]
+  draw --gpu GPU [--dp] --z Z --e E --n N [--l1 KIB ...]
+  workload NAME [--gpu GPU] [--l1 KIB] [--svg FILE]
+  validate [--gpu GPU]
+  whatif [--gpu GPU] [--workload NAME] [--l1 KIB]
+  serve [--addr H:P] [--workers N] [--queue N] [--timeout MS]
+        [--drain-timeout MS] [--grid-watermark F] [--baseline-watermark F]
+        [--shards N] [--samples S] [--io-timeout MS]
+        (solve/sweep/whatif daemon; drain with POST /quitck)
+  sim --workload NAME [--gpu GPU] [--warps N] [--l1 KIB] [--ir]
+  sweep --n-max N (--gpu GPU [--dp] | --m M --r R --l L) --z Z [--e E]
+        [--l1 KIB --alpha A --beta B --l1-latency C] [--points P]
+        [--samples S] [--jobs J] [--out FILE]
+        (output is byte-identical for any --jobs)
+  trace-report FILE [--timeline] [--svg FILE] [--profile]
+  sim-report FILE [--json] [--svg FILE] [--heatmap FILE]
+  residuals FILE [--preset GPU] [--workload NAME] [--l1 KIB]
+        [--rel FRAC] [--json]        (exit 1 when residuals exceed --rel)
+  profile FILE [--folded FILE] [--top N]
+  trace-diff BASE NEW [--json] [--folded FILE] [--top N]
+        [--min-us US] [--rel FRAC]   (exit 1 when differences found)
+
+global flags:
+  --trace FILE          stream JSONL trace events to FILE
+  --metrics-addr H:P    serve live Prometheus metrics on HOST:PORT
+  --fault-spec SPEC     inject deterministic faults (chaos testing), e.g.
+                        seed=7,spike=0.01x8,drop=0.001,dup=0.001,
+                        throttle=1000:0.2:0.25,sink-tear=0.01,sink-error=0.01,
+                        solver=no-bracket|no-grid,serve-slow-client=0.1,
+                        serve-torn-body=0.1,serve-stall=40
+
+environment:
+  XMODEL_TRACE          trace file, when --trace is absent
+  XMODEL_METRICS_ADDR   metrics HOST:PORT, when --metrics-addr is absent
+  XMODEL_FAULT_SPEC     fault spec, when --fault-spec is absent
+  XMODEL_JOBS           sweep worker threads, when --jobs is absent
+
+exit codes:
+  0  success (degraded results add a `warning:` line on stderr)
+  1  typed model/simulation error, an unreadable input or unwritable
+     output file (stdout included), or trace-diff differences found
+  2  usage error
+";
+
 fn usage() {
-    eprintln!(
-        "usage: xmodel <command>\n\
-         \n\
-         commands:\n\
-           list                               GPUs and workloads\n\
-           glossary                           Table I parameters\n\
-           draw --m M --r R --l L --z Z --e E --n N [--l1 KIB --alpha A --beta B] [--svg FILE]\n\
-           draw --gpu GPU [--dp] --z Z --e E --n N [--l1 KIB ...]\n\
-           workload NAME [--gpu GPU] [--l1 KIB] [--svg FILE]\n\
-           validate [--gpu GPU]\n\
-           whatif [--gpu GPU] [--workload NAME] [--l1 KIB]\n\
-           serve [--addr H:P] [--workers N] [--queue N] [--timeout MS]\n\
-                 [--drain-timeout MS] [--grid-watermark F] [--baseline-watermark F]\n\
-                 [--shards N] [--samples S] [--io-timeout MS]\n\
-                 (solve/sweep/whatif daemon; drain with POST /quitck)\n\
-           sim --workload NAME [--gpu GPU] [--warps N] [--l1 KIB] [--ir]\n\
-           sweep --n-max N (--gpu GPU [--dp] | --m M --r R --l L) --z Z [--e E]\n\
-                 [--l1 KIB --alpha A --beta B --l1-latency C] [--points P]\n\
-                 [--samples S] [--jobs J] [--out FILE]\n\
-                 (output is byte-identical for any --jobs)\n\
-           trace-report FILE [--timeline] [--svg FILE] [--profile]\n\
-           sim-report FILE [--json] [--svg FILE] [--heatmap FILE]\n\
-           residuals FILE [--preset GPU] [--workload NAME] [--l1 KIB]\n\
-                 [--rel FRAC] [--json]        (exit 1 when residuals exceed --rel)\n\
-           profile FILE [--folded FILE] [--top N]\n\
-           trace-diff BASE NEW [--json] [--folded FILE] [--top N]\n\
-                 [--min-us US] [--rel FRAC]   (exit 1 when differences found)\n\
-         \n\
-         global flags:\n\
-           --trace FILE          stream JSONL trace events to FILE\n\
-           --metrics-addr H:P    serve live Prometheus metrics on HOST:PORT\n\
-           --fault-spec SPEC     inject deterministic faults (chaos testing), e.g.\n\
-                                 seed=7,spike=0.01x8,drop=0.001,dup=0.001,\n\
-                                 throttle=1000:0.2:0.25,sink-tear=0.01,sink-error=0.01,\n\
-                                 solver=no-bracket|no-grid,serve-slow-client=0.1,\n\
-                                 serve-torn-body=0.1,serve-stall=40\n\
-         \n\
-         environment:\n\
-           XMODEL_TRACE          trace file, when --trace is absent\n\
-           XMODEL_METRICS_ADDR   metrics HOST:PORT, when --metrics-addr is absent\n\
-           XMODEL_FAULT_SPEC     fault spec, when --fault-spec is absent\n\
-           XMODEL_JOBS           sweep worker threads, when --jobs is absent\n\
-         \n\
-         exit codes:\n\
-           0  success (degraded results add a `warning:` line on stderr)\n\
-           1  typed model/simulation error, an unreadable input or unwritable output file, or trace-diff differences found\n\
-           2  usage error\n"
-    );
+    eprint!("{USAGE}");
 }
 
 /// Every flag `xmodel trace-report` reads.
@@ -650,7 +658,13 @@ fn reject_arguments(command: &str, args: &[String]) -> Result<(), CliError> {
 /// Write an output file; failing that is a typed error naming the file
 /// (exit 1), not a usage error.
 fn write_output(path: &str, contents: impl AsRef<[u8]>) -> Result<(), CliError> {
-    std::fs::write(path, contents).map_err(|e| CliError::Model(format!("{path}: {e}")))
+    std::fs::write(path, contents).map_err(|e| io_error(path, e))
+}
+
+/// A failed write to `name` (an output file, or `stdout`) as a typed
+/// error (exit 1), never a panic.
+fn io_error(name: &str, e: std::io::Error) -> CliError {
+    CliError::Model(format!("{name}: {e}"))
 }
 
 fn get_f64(flags: &HashMap<String, String>, key: &str) -> Result<Option<f64>, String> {
@@ -1098,67 +1112,112 @@ fn cmd_sweep(flags: HashMap<String, String>) -> Result<(), CliError> {
         (n, eq.points().len(), eq.operating_point())
     });
 
-    // Hand-laid JSON, one row per line, with every number written by
-    // `obs::json`: results are collected in index order and `jobs` is
-    // deliberately *not* recorded, so the bytes are identical for any
-    // worker count (asserted by scripts/ci.sh).
-    let num = |v: f64| json::to_string(&v);
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"xmodel-sweep/1\",\n");
-    out.push_str(&format!(
-        "  \"machine\": {{\"m\": {}, \"r\": {}, \"l\": {}}},\n",
-        num(base.machine.m),
-        num(base.machine.r),
-        num(base.machine.l)
-    ));
-    out.push_str(&format!(
-        "  \"workload\": {{\"z\": {}, \"e\": {}, \"n_max\": {}}},\n",
-        num(base.workload.z),
-        num(base.workload.e),
-        num(n_max)
-    ));
-    match base.cache {
-        Some(c) => out.push_str(&format!(
-            "  \"cache\": {{\"s_bytes\": {}, \"l_cache\": {}, \"alpha\": {}, \"beta\": {}}},\n",
-            num(c.s_cache),
-            num(c.l_cache),
-            num(c.alpha),
-            num(c.beta)
-        )),
-        None => out.push_str("  \"cache\": null,\n"),
-    }
-    out.push_str(&format!(
-        "  \"points\": {points},\n  \"samples\": {samples},\n  \"rows\": [\n"
-    ));
-    for (i, (n, roots, op)) in rows.iter().enumerate() {
-        let body = match op {
-            Some(p) => format!(
-                "\"k\": {}, \"x\": {}, \"ms\": {}, \"cs\": {}, \"stability\": \"{}\"",
-                num(p.k),
-                num(p.x),
-                num(p.ms_throughput),
-                num(p.cs_throughput),
-                p.stability.as_str()
-            ),
-            None => "\"k\": null, \"x\": null, \"ms\": null, \"cs\": null, \"stability\": null"
-                .to_string(),
-        };
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"roots\": {roots}, {body}}}{sep}\n",
-            num(*n)
-        ));
-    }
-    out.push_str("  ]\n}\n");
-
-    match flags.get("out") {
-        Some(path) => {
-            write_output(path, out)?;
-            println!("wrote {path} ({points} points, {jobs} jobs)");
-        }
-        None => print!("{out}"),
+    let out = flags.get("out");
+    let _span = xmodel_obs::span!(xmodel_obs::names::span::SWEEP_WRITE);
+    let (mut sink, name): (Box<dyn Write>, &str) = match out {
+        Some(path) => (
+            Box::new(std::fs::File::create(path).map_err(|e| io_error(path, e))?),
+            path,
+        ),
+        None => (Box::new(std::io::stdout().lock()), "stdout"),
+    };
+    write_sweep(&mut *sink, &base, n_max, samples, &rows).map_err(|e| io_error(name, e))?;
+    if let Some(path) = out {
+        let mut stdout = std::io::stdout().lock();
+        writeln!(stdout, "wrote {path} ({points} points, {jobs} jobs)")
+            .and_then(|()| stdout.flush())
+            .map_err(|e| io_error("stdout", e))?;
     }
     Ok(())
+}
+
+/// `xmodel sweep` hands its buffer to the output sink whenever it
+/// passes this many bytes.
+const SWEEP_FLUSH_BYTES: usize = 32 * 1024;
+
+/// More than one sweep row can take: five numbers of at most 330
+/// characters each (`f64` prints without an exponent), the root count
+/// and the keys.
+const SWEEP_ROW_MAX_BYTES: usize = 2048;
+
+/// One `xmodel sweep` row: `n`, the root count, and the operating point
+/// if there is one.
+type SweepRow = (f64, usize, Option<xmodel::core::solver::Intersection>);
+
+/// Write an `xmodel sweep` document (schema `xmodel-sweep/1`) to `sink`,
+/// one row per line. Every number goes through `obs::json::write_f64`
+/// into one buffer, handed to `sink` each time it passes
+/// [`SWEEP_FLUSH_BYTES`]. The rows arrive in index order and the worker
+/// count is not recorded, so the bytes are identical for any `--jobs`
+/// (asserted by scripts/ci.sh).
+fn write_sweep(
+    sink: &mut dyn Write,
+    base: &XModel,
+    n_max: f64,
+    samples: usize,
+    rows: &[SweepRow],
+) -> std::io::Result<()> {
+    // Room for the row that carries the buffer past the flush mark, so
+    // it never grows.
+    let mut buf = String::with_capacity(SWEEP_FLUSH_BYTES + SWEEP_ROW_MAX_BYTES);
+    buf.push_str("{\n  \"schema\": \"xmodel-sweep/1\",\n");
+    push_num(&mut buf, "  \"machine\": {\"m\": ", base.machine.m);
+    push_num(&mut buf, ", \"r\": ", base.machine.r);
+    push_num(&mut buf, ", \"l\": ", base.machine.l);
+    push_num(&mut buf, "},\n  \"workload\": {\"z\": ", base.workload.z);
+    push_num(&mut buf, ", \"e\": ", base.workload.e);
+    push_num(&mut buf, ", \"n_max\": ", n_max);
+    match base.cache {
+        Some(c) => {
+            push_num(&mut buf, "},\n  \"cache\": {\"s_bytes\": ", c.s_cache);
+            push_num(&mut buf, ", \"l_cache\": ", c.l_cache);
+            push_num(&mut buf, ", \"alpha\": ", c.alpha);
+            push_num(&mut buf, ", \"beta\": ", c.beta);
+            buf.push_str("},\n");
+        }
+        None => buf.push_str("},\n  \"cache\": null,\n"),
+    }
+    let _ = write!(
+        buf,
+        "  \"points\": {},\n  \"samples\": {samples},\n  \"rows\": [\n",
+        rows.len()
+    );
+    for (i, row) in rows.iter().enumerate() {
+        write_sweep_row(&mut buf, row, i + 1 == rows.len());
+        if buf.len() >= SWEEP_FLUSH_BYTES {
+            sink.write_all(buf.as_bytes())?;
+            buf.clear();
+        }
+    }
+    buf.push_str("  ]\n}\n");
+    sink.write_all(buf.as_bytes())?;
+    sink.flush()
+}
+
+/// Append one sweep row and its line end; `null` stands for every field
+/// of a missing operating point.
+fn write_sweep_row(buf: &mut String, (n, roots, op): &SweepRow, last: bool) {
+    push_num(buf, "    {\"n\": ", *n);
+    let _ = write!(buf, ", \"roots\": {roots}");
+    match op {
+        Some(p) => {
+            push_num(buf, ", \"k\": ", p.k);
+            push_num(buf, ", \"x\": ", p.x);
+            push_num(buf, ", \"ms\": ", p.ms_throughput);
+            push_num(buf, ", \"cs\": ", p.cs_throughput);
+            let _ = write!(buf, ", \"stability\": \"{}\"}}", p.stability.as_str());
+        }
+        None => buf.push_str(
+            ", \"k\": null, \"x\": null, \"ms\": null, \"cs\": null, \"stability\": null}",
+        ),
+    }
+    buf.push_str(if last { "\n" } else { ",\n" });
+}
+
+/// Append `prefix`, then `v` as `obs::json` writes a number.
+fn push_num(buf: &mut String, prefix: &str, v: f64) {
+    buf.push_str(prefix);
+    json::write_f64(buf, v);
 }
 
 /// Every flag `xmodel whatif` reads.
@@ -1310,7 +1369,6 @@ fn cmd_serve(flags: HashMap<String, String>) -> Result<(), CliError> {
     }
     let server = Server::start(cfg).map_err(|e| CliError::Model(format!("serve: {e}")))?;
     println!("serve: listening on http://{}", server.addr());
-    use std::io::Write as _;
     let _ = std::io::stdout().flush();
     let report = server.wait();
     println!(
@@ -1327,4 +1385,58 @@ fn cmd_serve(flags: HashMap<String, String>) -> Result<(), CliError> {
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xmodel::core::solver::Intersection;
+    use xmodel::core::stability::Stability;
+
+    fn row(n: f64, roots: usize, op: Option<Intersection>, last: bool) -> String {
+        let mut buf = String::new();
+        write_sweep_row(&mut buf, &(n, roots, op), last);
+        buf
+    }
+
+    #[test]
+    fn row_without_an_operating_point_is_all_null() {
+        assert_eq!(
+            row(12.5, 0, None, false),
+            "    {\"n\": 12.5, \"roots\": 0, \"k\": null, \"x\": null, \"ms\": null, \
+             \"cs\": null, \"stability\": null},\n"
+        );
+        assert!(row(12.5, 0, None, true).ends_with("\"stability\": null}\n"));
+    }
+
+    #[test]
+    fn row_writes_non_finite_numbers_as_null() {
+        let op = Intersection {
+            k: f64::NAN,
+            x: f64::INFINITY,
+            ms_throughput: f64::NEG_INFINITY,
+            cs_throughput: 0.25,
+            stability: Stability::Unstable,
+        };
+        assert_eq!(
+            row(f64::NAN, 3, Some(op), true),
+            "    {\"n\": null, \"roots\": 3, \"k\": null, \"x\": null, \"ms\": null, \
+             \"cs\": 0.25, \"stability\": \"unstable\"}\n"
+        );
+    }
+
+    /// The buffer reserves `SWEEP_ROW_MAX_BYTES` past the flush mark;
+    /// the longest numbers `f64` prints must fit in it.
+    #[test]
+    fn longest_row_fits_the_reserve() {
+        let op = Intersection {
+            k: -f64::MAX,
+            x: -5e-324,
+            ms_throughput: -f64::MAX,
+            cs_throughput: -5e-324,
+            stability: Stability::Unstable,
+        };
+        let longest = row(-f64::MAX, usize::MAX, Some(op), false);
+        assert!(longest.len() < SWEEP_ROW_MAX_BYTES, "{}", longest.len());
+    }
 }

@@ -1032,3 +1032,200 @@ fn serve_boots_answers_and_drains_clean() {
     let status = child.wait().expect("wait for drained server");
     assert!(status.success(), "drained server must exit 0: {status:?}");
 }
+
+/// `xmodel sweep`'s stdout, checked for exit 0.
+fn sweep_stdout(args: &[&str]) -> Vec<u8> {
+    let out = Command::new(env!("CARGO_BIN_EXE_xmodel"))
+        .arg("sweep")
+        .args(args)
+        .output()
+        .expect("spawn xmodel");
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out.stdout
+}
+
+/// The first line where `got` and `want` differ, for a readable failure.
+fn first_difference(got: &[u8], want: &str) -> String {
+    let got = String::from_utf8_lossy(got);
+    match got.lines().zip(want.lines()).position(|(g, w)| g != w) {
+        Some(i) => format!(
+            "line {}: got {:?}, want {:?}",
+            i + 1,
+            got.lines().nth(i).unwrap_or(""),
+            want.lines().nth(i).unwrap_or("")
+        ),
+        None => format!("{} bytes, want {}", got.len(), want.len()),
+    }
+}
+
+/// `xmodel sweep` bytes on three configurations, pinned by documents the
+/// binary wrote before rows were streamed through a bounded buffer.
+#[test]
+fn sweep_bytes_match_pinned_fixtures() {
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &["--gpu", "fermi", "--z", "10", "--n-max", "48"],
+            include_str!("fixtures/sweep_fermi.json"),
+        ),
+        (
+            &[
+                "--gpu", "kepler", "--z", "24", "--l1", "16", "--alpha", "3.1", "--beta", "2000",
+                "--n-max", "64",
+            ],
+            include_str!("fixtures/sweep_kepler_l1_16.json"),
+        ),
+        (
+            &[
+                "--gpu", "maxwell", "--dp", "--z", "0.75", "--l1", "48", "--alpha", "5.5",
+                "--beta", "4000", "--n-max", "64",
+            ],
+            include_str!("fixtures/sweep_maxwell_dp_l1_48.json"),
+        ),
+    ];
+    for (flags, want) in cases {
+        for jobs in ["1", "2"] {
+            let args = [flags, &["--points", "64", "--jobs", jobs]].concat();
+            let got = sweep_stdout(&args);
+            assert!(
+                got == want.as_bytes(),
+                "{args:?}: {}",
+                first_difference(&got, want)
+            );
+        }
+    }
+}
+
+/// 64-bit FNV-1a, enough to pin a document too large for a fixture.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A 4096-row document (~650 KB) crosses the output buffer's flush mark
+/// about twenty times; its bytes are pinned by length and digest, and
+/// `--out FILE` writes the same bytes as stdout.
+#[test]
+fn large_sweep_matches_its_digest_on_stdout_and_out_file() {
+    let args = [
+        "--gpu", "kepler", "--z", "20", "--l1", "16", "--n-max", "64", "--points", "4096",
+    ];
+    let stdout = sweep_stdout(&args);
+    assert_eq!(stdout.len(), 646_049);
+    assert_eq!(fnv1a64(&stdout), 0x81d1_e1c8_bd31_7e9d);
+
+    let path = temp_path("sweep-4096.json");
+    let path = path.to_str().unwrap();
+    let said = sweep_stdout(&[&args[..], &["--out", path]].concat());
+    let said = String::from_utf8(said).unwrap();
+    assert!(
+        said.starts_with(&format!("wrote {path} (4096 points, ")) && said.ends_with(" jobs)\n"),
+        "{said}"
+    );
+    assert!(std::fs::read(path).unwrap() == stdout, "--out bytes differ");
+    std::fs::remove_file(path).ok();
+}
+
+/// A stdout that closes early or cannot take the bytes is a typed error
+/// (exit 1, `error: stdout: …`, no usage text), never a panic.
+#[test]
+fn sweep_closed_or_full_stdout_is_a_typed_error() {
+    use std::process::Stdio;
+    // ~3 MB of rows: more than a pipe holds, so the write cannot finish
+    // before the read end is gone.
+    let args = [
+        "sweep", "--gpu", "fermi", "--z", "10", "--n-max", "64", "--points", "20000",
+    ];
+    let check = |out: std::process::Output, what: &str| {
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{what}: {err}");
+        assert!(err.starts_with("error: stdout: "), "{what}: {err}");
+        assert!(!err.contains("panicked"), "{what}: {err}");
+        assert!(!err.contains("usage"), "{what}: {err}");
+    };
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_xmodel"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn xmodel");
+    drop(child.stdout.take());
+    check(child.wait_with_output().expect("wait"), "closed pipe");
+
+    let full = std::path::Path::new("/dev/full");
+    if full.exists() {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open(full)
+            .expect("open /dev/full");
+        let out = Command::new(env!("CARGO_BIN_EXE_xmodel"))
+            .args(args)
+            .stdout(full)
+            .output()
+            .expect("spawn xmodel");
+        check(out, "/dev/full");
+    }
+}
+
+/// The whole `xmodel help` text, columns included.
+#[test]
+fn help_text_keeps_its_columns() {
+    const HELP: &str = "\
+usage: xmodel <command>
+
+commands:
+  list                               GPUs and workloads
+  glossary                           Table I parameters
+  draw --m M --r R --l L --z Z --e E --n N [--l1 KIB --alpha A --beta B] [--svg FILE]
+  draw --gpu GPU [--dp] --z Z --e E --n N [--l1 KIB ...]
+  workload NAME [--gpu GPU] [--l1 KIB] [--svg FILE]
+  validate [--gpu GPU]
+  whatif [--gpu GPU] [--workload NAME] [--l1 KIB]
+  serve [--addr H:P] [--workers N] [--queue N] [--timeout MS]
+        [--drain-timeout MS] [--grid-watermark F] [--baseline-watermark F]
+        [--shards N] [--samples S] [--io-timeout MS]
+        (solve/sweep/whatif daemon; drain with POST /quitck)
+  sim --workload NAME [--gpu GPU] [--warps N] [--l1 KIB] [--ir]
+  sweep --n-max N (--gpu GPU [--dp] | --m M --r R --l L) --z Z [--e E]
+        [--l1 KIB --alpha A --beta B --l1-latency C] [--points P]
+        [--samples S] [--jobs J] [--out FILE]
+        (output is byte-identical for any --jobs)
+  trace-report FILE [--timeline] [--svg FILE] [--profile]
+  sim-report FILE [--json] [--svg FILE] [--heatmap FILE]
+  residuals FILE [--preset GPU] [--workload NAME] [--l1 KIB]
+        [--rel FRAC] [--json]        (exit 1 when residuals exceed --rel)
+  profile FILE [--folded FILE] [--top N]
+  trace-diff BASE NEW [--json] [--folded FILE] [--top N]
+        [--min-us US] [--rel FRAC]   (exit 1 when differences found)
+
+global flags:
+  --trace FILE          stream JSONL trace events to FILE
+  --metrics-addr H:P    serve live Prometheus metrics on HOST:PORT
+  --fault-spec SPEC     inject deterministic faults (chaos testing), e.g.
+                        seed=7,spike=0.01x8,drop=0.001,dup=0.001,
+                        throttle=1000:0.2:0.25,sink-tear=0.01,sink-error=0.01,
+                        solver=no-bracket|no-grid,serve-slow-client=0.1,
+                        serve-torn-body=0.1,serve-stall=40
+
+environment:
+  XMODEL_TRACE          trace file, when --trace is absent
+  XMODEL_METRICS_ADDR   metrics HOST:PORT, when --metrics-addr is absent
+  XMODEL_FAULT_SPEC     fault spec, when --fault-spec is absent
+  XMODEL_JOBS           sweep worker threads, when --jobs is absent
+
+exit codes:
+  0  success (degraded results add a `warning:` line on stderr)
+  1  typed model/simulation error, an unreadable input or unwritable
+     output file (stdout included), or trace-diff differences found
+  2  usage error
+";
+    let (ok, out, err) = run(&["help"]);
+    assert!(ok, "{err}");
+    assert!(out.is_empty(), "{out}");
+    assert!(err == HELP, "{}", first_difference(err.as_bytes(), HELP));
+}

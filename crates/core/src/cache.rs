@@ -46,13 +46,6 @@ pub struct CacheParams {
 }
 
 impl CacheParams {
-    /// Create cache parameters, panicking on invalid values.
-    #[deprecated(note = "use `CacheParams::try_new` and handle the error")]
-    pub fn new(s_cache: f64, l_cache: f64, alpha: f64, beta: f64) -> Self {
-        // xlint: allow(no-panic-in-lib, deprecated panicking constructor kept for API compatibility; try_new is the fallible form)
-        Self::try_new(s_cache, l_cache, alpha, beta).expect("invalid cache parameters")
-    }
-
     /// Fallible constructor: `S$ ≥ 0`, `L$ > 0`, `α > 1`, `β > 0`.
     pub fn try_new(s_cache: f64, l_cache: f64, alpha: f64, beta: f64) -> Result<Self> {
         if s_cache < 0.0 || !s_cache.is_finite() {

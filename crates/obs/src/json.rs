@@ -44,7 +44,11 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn write_f64(out: &mut String, v: f64) {
+/// Append `v` as this writer writes every JSON number: Rust's shortest
+/// round-tripping `{v}` when finite, `null` otherwise. For hand-laid
+/// JSON, such as `xmodel sweep`'s rows, that must match
+/// [`to_string`]'s numbers byte for byte without a `String` per number.
+pub fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(out, "{v}");
     } else {

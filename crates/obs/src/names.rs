@@ -20,6 +20,9 @@ pub mod span {
     pub const SWEEP_RUN: &str = "sweep.run";
     /// One work-stealing chunk of a parallel grid sweep.
     pub const SWEEP_CHUNK: &str = "sweep.chunk";
+    /// Writing one `xmodel sweep` document to stdout or its `--out`
+    /// file, after `sweep.run` has computed every row.
+    pub const SWEEP_WRITE: &str = "sweep.write";
     /// One cycle-level simulator run (interval machine).
     pub const SIM_RUN: &str = "sim.run";
     /// One IR-driven simulator run.
@@ -247,11 +250,12 @@ mod tests {
     /// and globally unique.
     #[test]
     fn names_are_well_formed_and_unique() {
-        let all = [
+        let spans = [
             super::span::SOLVER_SOLVE,
             super::span::SOLVER_SOLVE_FAST,
             super::span::SWEEP_RUN,
             super::span::SWEEP_CHUNK,
+            super::span::SWEEP_WRITE,
             super::span::SIM_RUN,
             super::span::SIM_RUN_IR,
             super::span::SIM_WARMUP,
@@ -263,6 +267,8 @@ mod tests {
             super::span::SERVE_REQUEST,
             super::span::SERVE_READ,
             super::span::SERVE_WRITE,
+        ];
+        let metrics = [
             super::metric::SOLVER_SOLVES,
             super::metric::SOLVER_CURVE_EVALS,
             super::metric::SWEEP_ITEMS,
@@ -308,7 +314,8 @@ mod tests {
             super::metric::SERVE_CACHE_MISSES,
             super::metric::SERVE_CACHE_EVICTIONS,
         ];
-        for name in all {
+        let all: Vec<&str> = spans.iter().chain(&metrics).copied().collect();
+        for name in &all {
             assert!(
                 name.chars()
                     .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '.' || c == '_'),
@@ -316,20 +323,20 @@ mod tests {
             );
             assert!(!name.starts_with('.') && !name.ends_with('.'));
         }
-        let mut sorted = all.to_vec();
+        let mut sorted = all.clone();
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), all.len(), "duplicate registry entry");
 
-        // Every metric constant (entries after the span block above) must
-        // carry Prometheus HELP text; span names must not.
-        for name in &all[15..] {
+        // Every metric constant must carry Prometheus HELP text; span
+        // names must not.
+        for name in metrics {
             assert!(
                 super::metric_help(name).is_some(),
                 "metric {name:?} missing metric_help entry"
             );
         }
-        for name in &all[..15] {
+        for name in spans {
             assert!(
                 super::metric_help(name).is_none(),
                 "span {name:?} unexpectedly has metric_help"

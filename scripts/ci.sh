@@ -90,7 +90,8 @@ folded="$(mktemp -t xmodel-folded.XXXXXX.txt)"
 bench_ci="target/BENCH_ci.json"
 sweep1="$(mktemp -t xmodel-sweep1.XXXXXX.json)"
 sweepn="$(mktemp -t xmodel-sweepn.XXXXXX.json)"
-trap 'rm -f "$trace" "$folded" "$sweep1" "$sweepn" "${diff_base:-}" "${diff_new:-}" "${occ_svg:-}" "${invalid:-}" "${serve_log:-}" "${wild_log:-}"' EXIT
+sweep_err="$(mktemp -t xmodel-sweep-err.XXXXXX.txt)"
+trap 'rm -f "$trace" "$folded" "$sweep1" "$sweepn" "$sweep_err" "${diff_base:-}" "${diff_new:-}" "${occ_svg:-}" "${invalid:-}" "${serve_log:-}" "${wild_log:-}"' EXIT
 ./target/release/xmodel sim --workload gesummv --gpu fermi --l1 16 \
   --trace "$trace" > /dev/null
 grep -q '"kind":"sim.snapshot"' "$trace"
@@ -225,6 +226,19 @@ XMODEL_JOBS=3 $xm sweep --gpu fermi --z 16 --l1 16 --n-max 48 --points 128 \
   --out "$sweepn" > /dev/null
 cmp "$sweep1" "$sweepn" \
   || { echo "sweep output depends on XMODEL_JOBS" >&2; exit 1; }
+# --out and stdout take the same bytes through the same writer.
+$xm sweep --gpu fermi --z 16 --l1 16 --n-max 48 --points 128 --jobs 1 \
+  > "$sweepn"
+cmp "$sweep1" "$sweepn" \
+  || { echo "sweep --out bytes differ from its stdout bytes" >&2; exit 1; }
+# A reader that closes early is a typed error (exit 1), never a panic.
+set +e
+$xm sweep --gpu fermi --z 16 --n-max 64 --points 200000 2> "$sweep_err" \
+  | head -c 1 > /dev/null
+sweep_status=${PIPESTATUS[0]}
+set -e
+[ "$sweep_status" -eq 1 ] && ! grep -q panicked "$sweep_err" \
+  || { echo "sweep into a closed pipe must exit 1 without a panic, got $sweep_status: $(cat "$sweep_err")" >&2; exit 1; }
 # Jobs 1 -> N wall-clock scaling is hardware-dependent: a single-core
 # runner cannot demonstrate it, and shared CI boxes make it noisy, so
 # the probe is warn-only (EXPERIMENTS.md records the committed numbers).
