@@ -68,6 +68,32 @@ impl CliError {
     }
 }
 
+/// Write `args` to stdout and flush it: the one path to stdout of every
+/// command but `sweep` (its own writer) and `serve`. A failed write or
+/// flush, such as a full disk or a closed pipe, is a typed error naming
+/// stdout (exit 1), never a panic.
+fn emit(args: std::fmt::Arguments<'_>) -> Result<(), CliError> {
+    let mut stdout = std::io::stdout().lock();
+    stdout
+        .write_fmt(args)
+        .and_then(|()| stdout.flush())
+        .map_err(|e| io_error("stdout", e))
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// The fault spec parsed from `--fault-spec` / `XMODEL_FAULT_SPEC`;
 /// defaults to no faults.
 static FAULT_SPEC: OnceLock<FaultSpec> = OnceLock::new();
@@ -316,22 +342,22 @@ fn cmd_trace_report(args: &[String]) -> Result<(), CliError> {
     let path = std::path::Path::new(file);
     let unreadable = |e: std::io::Error| CliError::Model(format!("{file}: {e}"));
     let report = xmodel_obs::report::TraceReport::from_path(path).map_err(unreadable)?;
-    print!("{}", report.render());
+    out!("{}", report.render())?;
     if flags.contains_key("timeline") || flags.contains_key("svg") {
         let tl = xmodel::viz::Timeline::from_path(path).map_err(unreadable)?;
-        println!("\n{}", tl.render_ascii(72, 16));
+        outln!("\n{}", tl.render_ascii(72, 16))?;
         if let Some(svg) = flags.get("svg") {
             if tl.is_empty() {
-                println!("skipping {svg}: no snapshot frames to chart");
+                outln!("skipping {svg}: no snapshot frames to chart")?;
             } else {
                 write_output(svg, tl.to_chart().to_svg(640.0, 400.0))?;
-                println!("wrote {svg}");
+                outln!("wrote {svg}")?;
             }
         }
     }
     if flags.contains_key("profile") {
         let profile = xmodel_obs::profile::SpanProfile::from_path(path).map_err(unreadable)?;
-        println!("\n{}", profile.render().trim_end());
+        outln!("\n{}", profile.render().trim_end())?;
     }
     Ok(())
 }
@@ -358,36 +384,37 @@ fn cmd_sim_report(args: &[String]) -> Result<(), CliError> {
     let summary = trace.summary();
     let occ = xmodel::viz::OccupancyTimeline::from_trace(&trace);
     if flags.contains_key("json") {
-        println!("{}", summary.to_json());
+        outln!("{}", summary.to_json())?;
     } else {
-        print!("{}", summary.render());
+        out!("{}", summary.render())?;
         if !occ.is_empty() {
-            println!("\n{}", occ.render_ascii(72, 16));
+            outln!("\n{}", occ.render_ascii(72, 16))?;
         }
     }
     // Keep stdout machine-parseable under --json: notices go to stderr.
     let notice = |msg: String| {
         if flags.contains_key("json") {
             eprintln!("{msg}");
+            Ok(())
         } else {
-            println!("{msg}");
+            outln!("{msg}")
         }
     };
     if let Some(svg) = flags.get("svg") {
         if occ.is_empty() {
-            notice(format!("skipping {svg}: no probe frames to chart"));
+            notice(format!("skipping {svg}: no probe frames to chart"))?;
         } else {
             write_output(svg, occ.to_chart().to_svg(640.0, 400.0))?;
-            notice(format!("wrote {svg}"));
+            notice(format!("wrote {svg}"))?;
         }
     }
     if let Some(hm_path) = flags.get("heatmap") {
         match occ.to_heatmap() {
             Some(hm) => {
                 write_output(hm_path, hm.to_svg(640.0, 300.0))?;
-                notice(format!("wrote {hm_path}"));
+                notice(format!("wrote {hm_path}"))?;
             }
-            None => notice(format!("skipping {hm_path}: no probe frames to chart")),
+            None => notice(format!("skipping {hm_path}: no probe frames to chart"))?,
         }
     }
     Ok(())
@@ -482,13 +509,17 @@ fn cmd_residuals(args: &[String]) -> Result<(), CliError> {
         exceeded as u64,
     );
     if flags.contains_key("json") {
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json())?;
     } else {
-        println!(
+        outln!(
             "{} on {} (L1 {} KiB, n = {:.0}, {} frame(s))",
-            w.name, gpu.name, l1, model.workload.n, report.frames
-        );
-        print!("{}", report.render(rel));
+            w.name,
+            gpu.name,
+            l1,
+            model.workload.n,
+            report.frames
+        )?;
+        out!("{}", report.render(rel))?;
     }
     if exceeded > 0 {
         return Err(CliError::Findings(format!(
@@ -514,21 +545,21 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
     let path = std::path::Path::new(file);
     let profile = xmodel_obs::profile::SpanProfile::from_path(path)
         .map_err(|e| CliError::Model(format!("{file}: {e}")))?;
-    print!("{}", profile.render());
+    out!("{}", profile.render())?;
     if !profile.is_empty() {
         let top = match flags.get("top") {
             Some(v) => v.parse::<usize>().map_err(|e| format!("--top: {e}"))?,
             None => 10,
         };
-        println!("\nhot spans (self time):");
-        print!(
+        outln!("\nhot spans (self time):")?;
+        out!(
             "{}",
             xmodel::viz::flame::self_time_bars(&profile.hotspots(), 40, top)
-        );
+        )?;
     }
     if let Some(folded) = flags.get("folded") {
         write_output(folded, profile.to_folded())?;
-        println!("wrote {folded}");
+        outln!("wrote {folded}")?;
     }
     Ok(())
 }
@@ -571,17 +602,17 @@ fn cmd_trace_diff(args: &[String]) -> Result<(), CliError> {
     let diff = xmodel_obs::diff::TraceDiff::between(&read(base_file)?, &read(new_file)?);
 
     if flags.contains_key("json") {
-        println!("{}", diff.to_json());
+        outln!("{}", diff.to_json())?;
     } else {
-        print!("{}", diff.render(top, min_us, rel));
+        out!("{}", diff.render(top, min_us, rel))?;
         let bars: Vec<(String, f64)> = diff
             .deltas
             .iter()
             .map(|d| (d.name.clone(), d.self_delta_us))
             .collect();
         if bars.iter().any(|(_, v)| *v != 0.0) {
-            println!("\nself-time deltas (− faster | slower +):");
-            print!("{}", xmodel::viz::flame::delta_bars(&bars, 24, top));
+            outln!("\nself-time deltas (− faster | slower +):")?;
+            out!("{}", xmodel::viz::flame::delta_bars(&bars, 24, top))?;
         }
     }
     if let Some(folded) = flags.get("folded") {
@@ -591,7 +622,7 @@ fn cmd_trace_diff(args: &[String]) -> Result<(), CliError> {
         if flags.contains_key("json") {
             eprintln!("wrote {folded}");
         } else {
-            println!("wrote {folded}");
+            outln!("wrote {folded}")?;
         }
     }
 
@@ -715,20 +746,29 @@ fn workload_by_name(name: &str) -> Result<Workload, String> {
 
 fn cmd_list(args: &[String]) -> Result<(), CliError> {
     reject_arguments("list", args)?;
-    println!("GPUs (Table II):");
+    outln!("GPUs (Table II):")?;
     for g in GpuSpec::all() {
-        println!(
+        outln!(
             "  {:<10} {:?}, {} SMs x {} SPs, {} GB/s, {} warps/SM",
-            g.name, g.generation, g.sm_count, g.sp_per_sm, g.mem_bw_gbs, g.max_warps
-        );
+            g.name,
+            g.generation,
+            g.sm_count,
+            g.sp_per_sm,
+            g.mem_bw_gbs,
+            g.max_warps
+        )?;
     }
-    println!("\nworkloads (the 12-app validation suite):");
+    outln!("\nworkloads (the 12-app validation suite):")?;
     for w in Workload::suite() {
         let a = w.kernel.analyze();
-        println!(
+        outln!(
             "  {:<10} [{}] E={:.2} Z={:.1}  {}",
-            w.name, w.origin, a.ilp, a.intensity, w.description
-        );
+            w.name,
+            w.origin,
+            a.ilp,
+            a.intensity,
+            w.description
+        )?;
     }
     Ok(())
 }
@@ -736,7 +776,7 @@ fn cmd_list(args: &[String]) -> Result<(), CliError> {
 fn cmd_glossary(args: &[String]) -> Result<(), CliError> {
     reject_arguments("glossary", args)?;
     for e in xmodel::core::params::TABLE_I {
-        println!("  {:<6} {}", e.symbol, e.description);
+        outln!("  {:<6} {}", e.symbol, e.description)?;
     }
     Ok(())
 }
@@ -806,23 +846,23 @@ fn report(
             resolved.residual,
             xmodel::core::degrade::DEGRADE_SCHEMA
         );
-        println!(
+        outln!(
             "operating point ({}): k = {:.2}, x = {:.2}, MS {:.4} req/cyc, CS {:.4} ops/cyc",
             resolved.degradation,
             resolved.point.k,
             resolved.point.x,
             resolved.point.ms_throughput,
             resolved.point.cs_throughput
-        );
+        )?;
     }
     // The shared report card from xmodel-core, then the terminal X-graph.
-    print!("{}", xmodel::core::report::render(model, units));
+    out!("{}", xmodel::core::report::render(model, units))?;
     let graph = XGraph::build(model, 384);
-    println!("\n{}", render::xgraph_ascii(&graph, 72, 16));
+    outln!("\n{}", render::xgraph_ascii(&graph, 72, 16))?;
     if let Some(path) = svg {
         let svg_text = render::xgraph_chart(&graph, units).to_svg(640.0, 400.0);
         write_output(path, svg_text)?;
-        println!("wrote {path}");
+        outln!("wrote {path}")?;
     }
     Ok(())
 }
@@ -864,12 +904,15 @@ fn cmd_workload(args: &[String]) -> Result<(), CliError> {
     let l1 = get_l1_kib(&flags, 0)?;
     let model = xmodel::profile::fitting::assemble_model(&gpu, &w, l1 * 1024);
     let a = w.kernel.analyze();
-    println!("{} on {} (L1 {} KiB)", w.name, gpu.name, l1);
-    println!("  {}", w.description);
-    println!(
+    outln!("{} on {} (L1 {} KiB)", w.name, gpu.name, l1)?;
+    outln!("  {}", w.description)?;
+    outln!(
         "  extracted: E={:.2} Z={:.2} n={} coalesce={}",
-        a.ilp, a.intensity, model.workload.n, w.coalesce
-    );
+        a.ilp,
+        a.intensity,
+        model.workload.n,
+        w.coalesce
+    )?;
     let precision = xmodel::profile::fitting::workload_precision(&w);
     report(&model, Some(&gpu.units(precision)), flags.get("svg"))
 }
@@ -880,19 +923,19 @@ const VALIDATE_FLAGS: &[&str] = &["gpu"];
 fn cmd_validate(flags: HashMap<String, String>) -> Result<(), CliError> {
     reject_unknown_flags("validate", &flags, VALIDATE_FLAGS)?;
     let gpu = gpu_by_name(flags.get("gpu").map(String::as_str).unwrap_or("kepler"))?;
-    println!("validating on {} ...", gpu.name);
+    outln!("validating on {} ...", gpu.name)?;
     let rep = validate_suite(&gpu).map_err(CliError::model)?;
-    println!("{:<11} {:>8} {:>8} {:>7}", "app", "PCT", "RCT", "acc");
+    outln!("{:<11} {:>8} {:>8} {:>7}", "app", "PCT", "RCT", "acc")?;
     for a in &rep.apps {
-        println!(
+        outln!(
             "{:<11} {:>8.3} {:>8.3} {:>6.1}%",
             a.name,
             a.predicted_cs,
             a.measured_cs,
             a.accuracy() * 100.0
-        );
+        )?;
     }
-    println!("mean accuracy: {:.1}%", rep.mean_accuracy() * 100.0);
+    outln!("mean accuracy: {:.1}%", rep.mean_accuracy() * 100.0)?;
     Ok(())
 }
 
@@ -992,36 +1035,36 @@ fn cmd_sim(args: &[String]) -> Result<(), CliError> {
         );
     }
     let units = gpu.units(precision);
-    println!(
+    outln!(
         "{} on {} ({} warps, {} mode{})",
         w.name,
         gpu.name,
         warps,
         if ir_mode { "IR" } else { "parametric" },
         if cfg.l1.is_some() { ", L1 on" } else { "" }
-    );
-    println!(
+    )?;
+    outln!(
         "  MS {:.4} req/cyc ({:.2} GB/s per SM)   CS {:.4} ops/cyc ({:.2} GF/s per SM)",
         stats.ms_throughput(),
         units.ms_to_gbs(stats.ms_throughput()),
         stats.cs_throughput(),
         units.cs_to_gflops(stats.cs_throughput())
-    );
-    println!(
+    )?;
+    outln!(
         "  spatial state: avg k = {:.1}, avg x = {:.1}, mode k = {}",
         stats.avg_k(),
         stats.avg_x(),
         stats.mode_k()
-    );
+    )?;
     if cfg.l1.is_some() {
-        println!(
+        outln!(
             "  L1: hit rate {:.2} ({} hits / {} misses / {} merges, {} MSHR stalls)",
             stats.hit_rate(),
             stats.l1_hits,
             stats.l1_misses,
             stats.l1_merges,
             stats.mshr_stalls
-        );
+        )?;
     }
     Ok(())
 }
@@ -1235,13 +1278,13 @@ fn cmd_whatif(flags: HashMap<String, String>) -> Result<(), CliError> {
     let l1 = get_l1_kib(&flags, 16)?;
     let model = xmodel::profile::fitting::assemble_model(&gpu, &w, l1 * 1024);
     let what_if = WhatIf::new(model);
-    println!(
+    outln!(
         "{} on {} with {} KiB L1: thrashing = {}",
         w.name,
         gpu.name,
         l1,
         what_if.is_thrashing()
-    );
+    )?;
     let n_star = what_if.optimal_throttle();
     let mut candidates = vec![
         (
@@ -1280,13 +1323,13 @@ fn cmd_whatif(flags: HashMap<String, String>) -> Result<(), CliError> {
     }
     for (name, opt) in candidates {
         match what_if.evaluate(opt) {
-            Some(eff) => println!(
+            Some(eff) => outln!(
                 "  {:<20} MS {:>5.2}x  CS {:>5.2}x",
                 name,
                 eff.ms_speedup(),
                 eff.cs_speedup()
-            ),
-            None => println!("  {name:<20} (no equilibrium)"),
+            )?,
+            None => outln!("  {name:<20} (no equilibrium)")?,
         }
     }
     Ok(())

@@ -510,6 +510,39 @@ fn unwritable_output_file_is_a_typed_error() {
     }
 }
 
+/// A full stdout is a typed error naming stdout (exit 1, no usage
+/// text), never a panic, in the one-shot commands. Skipped where there
+/// is no `/dev/full`.
+#[test]
+fn full_stdout_is_a_typed_error() {
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        return;
+    };
+    let trace = concat!(env!("CARGO_MANIFEST_DIR"), "/../../TRACE_seed.jsonl");
+    let cases: [&[&str]; 6] = [
+        &["list"],
+        &["glossary"],
+        &["workload", "gesummv", "--gpu", "fermi", "--l1", "16"],
+        &["validate", "--gpu", "fermi"],
+        &[
+            "draw", "--gpu", "kepler", "--z", "20", "--e", "1.2", "--n", "64",
+        ],
+        &["trace-report", trace, "--profile"],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_xmodel"))
+            .args(args)
+            .stdout(full.try_clone().expect("reopen /dev/full"))
+            .output()
+            .expect("spawn xmodel");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.starts_with("error: stdout: "), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(!err.contains("usage"), "{args:?}: {err}");
+    }
+}
+
 /// `trace-report --svg` on a trace without simulator snapshots says
 /// it writes nothing.
 #[test]

@@ -11,7 +11,6 @@ use crate::trace::{AddressStream, TraceSpec};
 use crate::LINE_BYTES;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// A shared fully-associative LRU cache over line addresses (measurement
 /// tool — the cycle-level simulator has its own set-associative cache).
@@ -65,40 +64,18 @@ impl LruSet {
 }
 
 /// Stamps [`StackDepths`] hands out before it compacts, per line of its
-/// depth limit. Sized by measurement (EXPERIMENTS.md, "One-pass locality
-/// profiling"): a wider window compacts less often but holds more lines.
+/// depth limit. Sized by measurement (EXPERIMENTS.md, "A flat line table,
+/// a mark set and a bounded error sum"): a wider window compacts less
+/// often but holds more lines, and 3×, 4× and 8× won no whole fit.
 const WINDOW_PER_LINE: usize = 2;
 
-/// Marks a stamp whose line has been accessed again since. No line
-/// number reaches it: lines are byte addresses divided by `LINE_BYTES`.
+/// The empty key of [`StackDepths`]' line table, and the line of a stamp
+/// whose line has been accessed again since. No line number reaches it:
+/// lines are byte addresses divided by `LINE_BYTES`.
 const VACANT: u64 = u64::MAX;
 
-/// Hashes a line address with the splitmix64 finaliser, which mixes
-/// both the low bits and the top bits a `HashMap` reads. It takes about
-/// a quarter off a fit against the default SipHash (EXPERIMENTS.md,
-/// "One-pass locality profiling"). Keys are addresses from the
-/// program's own generators, so flooding resistance buys nothing here.
-#[derive(Default)]
-struct LineHasher(u64);
-
-impl Hasher for LineHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        let mut z = self.0 ^ x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.0 = z ^ (z >> 31);
-    }
-}
+/// Stamps per word of [`StackDepths`]' mark set.
+const MARK_BITS: usize = 64;
 
 /// Mattson stack distances of a line stream, tracked down to a depth
 /// limit. The depth of an access is the number of distinct lines touched
@@ -106,16 +83,23 @@ impl Hasher for LineHasher {
 /// hits it exactly when the depth is below `C` (the inclusion property),
 /// so one pass answers every capacity up to the limit.
 ///
-/// Each access takes a fresh stamp; a Fenwick tree over stamps marks the
-/// one a line last took, so the depth is the count of marks after it.
-/// A line deeper than the limit misses at every capacity and is dropped
-/// when the window fills, which keeps memory proportional to the limit
-/// rather than to the stream.
+/// Each access takes a fresh stamp, and a mark set holds one bit per
+/// stamp: set at the stamp each line last took, so the depth is the
+/// count of marks after the line's old stamp. A line deeper than the
+/// limit misses at every capacity and is dropped when the window fills,
+/// which keeps memory proportional to the limit rather than to the
+/// stream.
 struct StackDepths {
     limit: usize,
-    stamp_of: HashMap<u64, usize, BuildHasherDefault<LineHasher>>,
+    /// Line → stamp, open-addressed: `VACANT` keys are empty, probing is
+    /// linear from a Fibonacci hash, and the slot count is a power of two
+    /// at least twice the window. Nothing is deleted: the table holds at
+    /// most one entry per stamp, and `compact` clears it.
+    slots: Vec<(u64, usize)>,
+    /// `64 − log2(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
     line_at: Vec<u64>,
-    tree: Vec<usize>,
+    marks: Vec<u64>,
     next: usize,
     live: usize,
 }
@@ -123,11 +107,13 @@ struct StackDepths {
 impl StackDepths {
     fn new(limit: usize) -> Self {
         let window = limit * WINDOW_PER_LINE;
+        let slots = (2 * window).next_power_of_two();
         Self {
             limit,
-            stamp_of: HashMap::with_capacity_and_hasher(window, Default::default()),
+            slots: vec![(VACANT, 0); slots],
+            shift: u64::BITS - slots.trailing_zeros(),
             line_at: vec![VACANT; window],
-            tree: vec![0; window],
+            marks: vec![0; window.div_ceil(MARK_BITS)],
             next: 0,
             live: 0,
         }
@@ -141,44 +127,46 @@ impl StackDepths {
         }
         let stamp = self.next;
         self.next += 1;
-        let depth = self.stamp_of.insert(line, stamp).and_then(|old| {
-            let depth = self.live - self.marked_through(old);
+        let depth = self.restamp(line, stamp).and_then(|old| {
+            let depth = self.marked_after(old);
             self.line_at[old] = VACANT;
-            self.unmark(old);
+            self.marks[old / MARK_BITS] &= !(1 << (old % MARK_BITS));
             self.live -= 1;
             (depth < self.limit).then_some(depth)
         });
         self.line_at[stamp] = line;
-        self.mark(stamp);
+        self.marks[stamp / MARK_BITS] |= 1 << (stamp % MARK_BITS);
         self.live += 1;
         depth
     }
 
-    /// Marked stamps in `0..=stamp`.
-    fn marked_through(&self, stamp: usize) -> usize {
-        let mut i = stamp + 1;
-        let mut n = 0;
-        while i > 0 {
-            n += self.tree[i - 1];
-            i &= i - 1;
+    /// Give `line` the stamp `stamp` in the line table; the stamp it held
+    /// before, if it was there. The table always has a vacant slot: it
+    /// holds at most one line per stamp of the window.
+    fn restamp(&mut self, line: u64, stamp: usize) -> Option<usize> {
+        let mask = self.slots.len() - 1;
+        // The shift keeps `log2(slots.len())` bits, so the cast loses none.
+        let mut i = (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.0 == line {
+                return Some(std::mem::replace(&mut slot.1, stamp));
+            }
+            if slot.0 == VACANT {
+                *slot = (line, stamp);
+                return None;
+            }
+            i = (i + 1) & mask;
         }
-        n
     }
 
-    fn mark(&mut self, stamp: usize) {
-        let mut i = stamp + 1;
-        while i <= self.tree.len() {
-            self.tree[i - 1] += 1;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    fn unmark(&mut self, stamp: usize) {
-        let mut i = stamp + 1;
-        while i <= self.tree.len() {
-            self.tree[i - 1] -= 1;
-            i += i & i.wrapping_neg();
-        }
+    /// Marked stamps after `stamp`, which is below the newest one: no
+    /// mark sits at or past `next`.
+    fn marked_after(&self, stamp: usize) -> usize {
+        let (word, last) = (stamp / MARK_BITS, (self.next - 1) / MARK_BITS);
+        let tail = self.marks[word] & (u64::MAX << (stamp % MARK_BITS) << 1);
+        let marks = self.marks[word + 1..=last].iter().map(|w| w.count_ones());
+        (tail.count_ones() + marks.sum::<u32>()) as usize
     }
 
     /// Renumber the `limit` most recent lines to stamps `0..live`, oldest
@@ -186,6 +174,7 @@ impl StackDepths {
     fn compact(&mut self) {
         let mut forget = self.live.saturating_sub(self.limit);
         let mut next = 0;
+        self.slots.fill((VACANT, 0));
         for stamp in 0..self.line_at.len() {
             let line = std::mem::replace(&mut self.line_at[stamp], VACANT);
             if line == VACANT {
@@ -193,21 +182,19 @@ impl StackDepths {
             }
             if forget > 0 {
                 forget -= 1;
-                self.stamp_of.remove(&line);
                 continue;
             }
             self.line_at[next] = line;
-            self.stamp_of.insert(line, next);
+            self.restamp(line, next);
             next += 1;
         }
         self.next = next;
         self.live = next;
-        // Node `i` of the tree sums stamps `i + 1 - lowbit(i + 1) ..= i`;
-        // the marked ones are exactly those below `live`.
-        for (i, node) in self.tree.iter_mut().enumerate() {
-            let end = i + 1;
-            let start = end - (end & end.wrapping_neg());
-            *node = end.min(next).saturating_sub(start);
+        // The marked stamps are exactly those below `live`.
+        self.marks.fill(0);
+        self.marks[..next / MARK_BITS].fill(u64::MAX);
+        if next % MARK_BITS > 0 {
+            self.marks[next / MARK_BITS] = (1 << (next % MARK_BITS)) - 1;
         }
     }
 }
@@ -233,9 +220,14 @@ fn lru_hits(
     let limit = caps.iter().copied().max().unwrap_or(1);
     let mut depths = StackDepths::new(limit);
     let mut at_depth = vec![0usize; limit];
-    let k = gens.len();
+    // Warp `i % gens.len()` draws access `i`, counted without a division.
+    let mut turn = 0;
     for i in 0..total {
-        let addr = gens[i % k].next_addr();
+        let addr = gens[turn].next_addr();
+        turn += 1;
+        if turn == gens.len() {
+            turn = 0;
+        }
         if let Some(d) = depths.access(addr / LINE_BYTES) {
             if i >= warm {
                 at_depth[d] += 1;
@@ -302,17 +294,20 @@ pub fn jacob_hit_rate(s_cache: f64, k: f64, alpha: f64, beta: f64) -> f64 {
 
 /// Grid search over α ∈ (1, 8.1] and a log-spaced β range, followed by a
 /// coordinate-refinement pass — the minimiser shared by [`fit_jacob`] and
-/// [`fit_jacob_multi`]. The grid is generated rather than indexed, so the
-/// routine is panic-free; when every grid point scores NaN/∞ the seed point
-/// is returned with an infinite error instead of refining garbage.
-fn minimise_jacob_sse(sse: impl Fn(f64, f64) -> f64) -> (f64, f64, f64) {
+/// [`fit_jacob_multi`]. `sse(α, β, bound)` is the error at `(α, β)`, and
+/// it may stop at any partial sum that reaches `bound`, the error to
+/// beat: such a point loses either way (see [`sum_below`]). The grid is
+/// generated rather than indexed, so the routine is panic-free; when
+/// every grid point scores NaN/∞ the seed point is returned with an
+/// infinite error instead of refining garbage.
+fn minimise_jacob_sse(sse: impl Fn(f64, f64, f64) -> f64) -> (f64, f64, f64) {
     let alpha_at = |i: i32| 1.02 + i as f64 * 0.12;
     let beta_at = |i: i32| LINE_BYTES as f64 * 0.25 * 1.25f64.powi(i);
     let mut best = (alpha_at(0), beta_at(0), f64::INFINITY);
     for i in 0..60 {
         for j in 0..60 {
             let (a, b) = (alpha_at(i), beta_at(j));
-            let e = sse(a, b);
+            let e = sse(a, b, best.2);
             if e < best.2 {
                 best = (a, b, e);
             }
@@ -333,7 +328,7 @@ fn minimise_jacob_sse(sse: impl Fn(f64, f64) -> f64) -> (f64, f64, f64) {
             (1.0, 1.0 / 1.05),
         ] {
             let (na, nb) = ((a * da).max(1.001), b * db);
-            let ne = sse(na, nb);
+            let ne = sse(na, nb, e);
             if ne < e {
                 a = na;
                 b = nb;
@@ -348,19 +343,35 @@ fn minimise_jacob_sse(sse: impl Fn(f64, f64) -> f64) -> (f64, f64, f64) {
     (a, b, e)
 }
 
+/// The squared errors `terms` summed in order from −0.0, as
+/// `Iterator::sum` adds them, except that the sum stops once it reaches
+/// `bound`. So `sum_below(terms, bound) < bound` exactly when the full
+/// sum is below `bound`, and then the two are the same bits. Each term is
+/// a square, so ≥ +0 or NaN; a float sum of such terms never decreases,
+/// so a partial sum at or above `bound` cannot end below it, and a NaN
+/// sum never compares less.
+fn sum_below(terms: impl Iterator<Item = f64>, bound: f64) -> f64 {
+    let mut sum = -0.0;
+    for t in terms {
+        sum += t;
+        if sum >= bound {
+            break;
+        }
+    }
+    sum
+}
+
 /// Least-squares fit of `(α, β)` to `(k, hit-rate)` samples for a cache of
 /// `s_cache` bytes. Grid search over a log-spaced β range and α ∈ (1, 8],
 /// followed by one coordinate-refinement pass.
 pub fn fit_jacob(samples: &[(f64, f64)], s_cache: f64) -> JacobFit {
     assert!(!samples.is_empty(), "need at least one sample");
-    let (alpha, beta, e) = minimise_jacob_sse(|alpha, beta| {
-        samples
-            .iter()
-            .map(|&(k, h)| {
-                let p = jacob_hit_rate(s_cache, k, alpha, beta);
-                (p - h) * (p - h)
-            })
-            .sum::<f64>()
+    let (alpha, beta, e) = minimise_jacob_sse(|alpha, beta, bound| {
+        let errors = samples.iter().map(|&(k, h)| {
+            let p = jacob_hit_rate(s_cache, k, alpha, beta);
+            (p - h) * (p - h)
+        });
+        sum_below(errors, bound)
     });
     JacobFit {
         alpha,
@@ -385,14 +396,12 @@ pub fn fit_trace(spec: &TraceSpec, cache_bytes: u64) -> JacobFit {
 /// workload property, so a single pair must explain every capacity.
 pub fn fit_jacob_multi(samples: &[(f64, f64, f64)]) -> JacobFit {
     assert!(!samples.is_empty(), "need at least one sample");
-    let (alpha, beta, e) = minimise_jacob_sse(|alpha, beta| {
-        samples
-            .iter()
-            .map(|&(s, k, h)| {
-                let p = jacob_hit_rate(s, k, alpha, beta);
-                (p - h) * (p - h)
-            })
-            .sum::<f64>()
+    let (alpha, beta, e) = minimise_jacob_sse(|alpha, beta, bound| {
+        let errors = samples.iter().map(|&(s, k, h)| {
+            let p = jacob_hit_rate(s, k, alpha, beta);
+            (p - h) * (p - h)
+        });
+        sum_below(errors, bound)
     });
     JacobFit {
         alpha,
@@ -552,8 +561,29 @@ mod tests {
         }
     }
 
+    /// `(α, β, rmse)` bits of every suite trace's fit at the 8/16/48 KiB
+    /// reference capacities, in `WorkloadId::all()` order, as the
+    /// Fenwick-tree pass and the unbounded error sum computed them.
+    /// `replay_fit` shares `fit_jacob_multi` with the code under test, so
+    /// only these literals see a change to the grid search.
+    const SUITE_FIT_BITS: [[u64; 3]; 12] = [
+        [0x3ff051eb851eb852, 0x4109eb6e3600ca09, 0x3f511afb36b6fe21], // bfs
+        [0x3ff23d70a3d70a3e, 0x4071bd4e679e79e7, 0x3fbf89c1bc9c80ae], // backprop
+        [0x3ff6147ae147ae14, 0x40b0224b42f4cb66, 0x3f921b9cbc951838], // stencil
+        [0x401aa3d70a3d70a4, 0x40c9d971e4fe8402, 0x3f94e5c41032bc22], // gesummv
+        [0x3ff051eb851eb852, 0x40eed09bead87c04, 0x3f688fc17faf7bd7], // hpccg
+        [0x4000cccccccccccd, 0x40ba784379d99db4, 0x3f98078411b8e421], // heartwall
+        [0x4013eb851eb851ec, 0x40c4adf4b7320335, 0x3fa148c10ab1ad52], // leukocyte
+        [0x3ff004189374bc6a, 0x419c09d2cabaf88a, 0x3e7994d28759decc], // nw
+        [0x3ff004189374bc6a, 0x419c09d2cabaf88a, 0x3e7994d28759decc], // nn
+        [0x3ff051eb851eb852, 0x410096acef5caa44, 0x3f5e14a7f661673e], // spmv
+        [0x3ff23d70a3d70a3e, 0x408152de9130c30c, 0x3fbb3a1703d2b1e8], // atax
+        [0x3ff8000000000000, 0x40ac75d6ae6e4814, 0x3f9a0e141ea52dee], // lud
+    ];
+
     /// The fitted locality of one suite trace per `TraceSpec` variant is
-    /// bit for bit what the per-capacity replays produced.
+    /// bit for bit what the per-capacity replays produced, and every
+    /// suite trace's is the pinned one.
     #[test]
     fn fit_trace_capacities_is_bit_identical_to_replay() {
         let capacities = [8 * 1024, 16 * 1024, 48 * 1024];
@@ -572,6 +602,154 @@ mod tests {
             assert_eq!(got.alpha.to_bits(), want.alpha.to_bits(), "{id:?} alpha");
             assert_eq!(got.beta.to_bits(), want.beta.to_bits(), "{id:?} beta");
             assert_eq!(got.rmse.to_bits(), want.rmse.to_bits(), "{id:?} rmse");
+        }
+        for (id, want) in WorkloadId::all().into_iter().zip(SUITE_FIT_BITS) {
+            let got = fit_trace_capacities(&Workload::get(id).trace, &capacities);
+            let got = [got.alpha, got.beta, got.rmse].map(f64::to_bits);
+            assert_eq!(got, want, "{id:?} (alpha, beta, rmse)");
+        }
+    }
+
+    /// `minimise_jacob_sse` as it was before the bounded sum: every point
+    /// sums all of its squared errors.
+    fn minimise_unbounded(sse: impl Fn(f64, f64) -> f64) -> (f64, f64, f64) {
+        let alpha_at = |i: i32| 1.02 + i as f64 * 0.12;
+        let beta_at = |i: i32| LINE_BYTES as f64 * 0.25 * 1.25f64.powi(i);
+        let mut best = (alpha_at(0), beta_at(0), f64::INFINITY);
+        for i in 0..60 {
+            for j in 0..60 {
+                let (a, b) = (alpha_at(i), beta_at(j));
+                let e = sse(a, b);
+                if e < best.2 {
+                    best = (a, b, e);
+                }
+            }
+        }
+        let (mut a, mut b, mut e) = best;
+        if !e.is_finite() {
+            return (a, b, e);
+        }
+        for _ in 0..40 {
+            let mut improved = false;
+            for (da, db) in [
+                (1.03, 1.0),
+                (1.0 / 1.03, 1.0),
+                (1.0, 1.05),
+                (1.0, 1.0 / 1.05),
+            ] {
+                let (na, nb) = ((a * da).max(1.001), b * db);
+                let ne = sse(na, nb);
+                if ne < e {
+                    a = na;
+                    b = nb;
+                    e = ne;
+                    improved = true;
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+        (a, b, e)
+    }
+
+    /// `(α, β, rmse)` bits of a fit by [`minimise_unbounded`] over
+    /// `(S$, k, h)` samples.
+    fn reference_fit(samples: &[(f64, f64, f64)]) -> (u64, u64, u64) {
+        let (alpha, beta, e) = minimise_unbounded(|alpha, beta| {
+            samples
+                .iter()
+                .map(|&(s, k, h)| {
+                    let p = jacob_hit_rate(s, k, alpha, beta);
+                    (p - h) * (p - h)
+                })
+                .sum::<f64>()
+        });
+        let rmse = (e / samples.len() as f64).sqrt();
+        (alpha.to_bits(), beta.to_bits(), rmse.to_bits())
+    }
+
+    fn fit_bits(fit: JacobFit) -> (u64, u64, u64) {
+        (fit.alpha.to_bits(), fit.beta.to_bits(), fit.rmse.to_bits())
+    }
+
+    /// Cache sizes in bytes for a fit: zero, the reference capacities, a
+    /// huge one, and anything up to 64 KiB.
+    fn any_fit_capacity() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            prop::sample::select(vec![0.0, 1.0, 8192.0, 16384.0, 49152.0, 1e12]),
+            0.0..65536.0,
+        ]
+    }
+
+    /// Sharer counts, zero included.
+    fn any_sharers() -> impl Strategy<Value = f64> {
+        prop_oneof![prop::sample::select(vec![0.0, 1.0, 2.0, 48.0]), 0.0..64.0]
+    }
+
+    /// Hit rates in `[0, 1]`, its ends, and finite values outside it.
+    fn any_hit_rate() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            0.0..1.0,
+            0.0..1.0,
+            prop::sample::select(vec![0.0, -0.0, 1.0, 0.5]),
+            prop::sample::select(vec![-0.25, 1.5, -1e300, 1e300]),
+        ]
+    }
+
+    /// 1–40 `(S$, k, h)` samples.
+    fn finite_fit_samples() -> impl Strategy<Value = Vec<(f64, f64, f64)>> {
+        prop::collection::vec((any_fit_capacity(), any_sharers(), any_hit_rate()), 1..41)
+    }
+
+    /// Sample sets for a fit: finite ones; ones with a NaN or ±∞ hit
+    /// rate; and ones the Jacob form gives exactly at a grid point, so
+    /// the best error is 0 and every later point ties the bound.
+    fn any_fit_samples() -> impl Strategy<Value = Vec<(f64, f64, f64)>> {
+        prop_oneof![
+            finite_fit_samples(),
+            finite_fit_samples(),
+            (
+                finite_fit_samples(),
+                0usize..40,
+                prop::sample::select(vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY]),
+            )
+                .prop_map(|(mut samples, i, h)| {
+                    let n = samples.len();
+                    samples[i % n].2 = h;
+                    samples
+                }),
+            (
+                0i32..60,
+                0i32..60,
+                prop::collection::vec((any_fit_capacity(), any_sharers()), 1..41),
+            )
+                .prop_map(|(i, j, points)| {
+                    let (alpha, beta) = (1.02 + i as f64 * 0.12, 32.0 * 1.25f64.powi(j));
+                    points
+                        .into_iter()
+                        .map(|(s, k)| (s, k, jacob_hit_rate(s, k, alpha, beta)))
+                        .collect()
+                }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The bounded error sum changes no fit: `fit_jacob` and
+        /// `fit_jacob_multi` return the unbounded minimiser's bits.
+        #[test]
+        fn bounded_error_sum_matches_the_unbounded_fit(samples in any_fit_samples()) {
+            prop_assert_eq!(fit_bits(fit_jacob_multi(&samples)), reference_fit(&samples));
+            let s_cache = samples[0].0;
+            let at_one_capacity: Vec<(f64, f64, f64)> =
+                samples.iter().map(|&(_, k, h)| (s_cache, k, h)).collect();
+            let pairs: Vec<(f64, f64)> = samples.iter().map(|&(_, k, h)| (k, h)).collect();
+            prop_assert_eq!(
+                fit_bits(fit_jacob(&pairs, s_cache)),
+                reference_fit(&at_one_capacity)
+            );
         }
     }
 

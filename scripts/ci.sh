@@ -91,7 +91,8 @@ bench_ci="target/BENCH_ci.json"
 sweep1="$(mktemp -t xmodel-sweep1.XXXXXX.json)"
 sweepn="$(mktemp -t xmodel-sweepn.XXXXXX.json)"
 sweep_err="$(mktemp -t xmodel-sweep-err.XXXXXX.txt)"
-trap 'rm -f "$trace" "$folded" "$sweep1" "$sweepn" "$sweep_err" "${diff_base:-}" "${diff_new:-}" "${occ_svg:-}" "${invalid:-}" "${serve_log:-}" "${wild_log:-}"' EXIT
+full_err="$(mktemp -t xmodel-full-err.XXXXXX.txt)"
+trap 'rm -f "$trace" "$folded" "$sweep1" "$sweepn" "$sweep_err" "$full_err" "${diff_base:-}" "${diff_new:-}" "${occ_svg:-}" "${invalid:-}" "${serve_log:-}" "${wild_log:-}"' EXIT
 ./target/release/xmodel sim --workload gesummv --gpu fermi --l1 16 \
   --trace "$trace" > /dev/null
 grep -q '"kind":"sim.snapshot"' "$trace"
@@ -206,6 +207,17 @@ for bad in "no-such-command" "draw --fault-spec gremlins=1"; do
     test $? -eq 2 || { echo "usage error ($bad) exited $? (want 2)" >&2; exit 1; }
   fi
 done
+# 1 — a full stdout is a typed error naming stdout, never a panic.
+if [ -e /dev/full ]; then
+  for cmd in "list" "workload gesummv --gpu fermi --l1 16"; do
+    set +e
+    $xm $cmd > /dev/full 2> "$full_err"
+    full_status=$?
+    set -e
+    [ "$full_status" -eq 1 ] && ! grep -q panicked "$full_err" \
+      || { echo "$cmd into /dev/full must exit 1 without a panic, got $full_status: $(cat "$full_err")" >&2; exit 1; }
+  done
+fi
 # 0 + warning — the IR driver heals dropped completions through the
 # memory side it shares with the parametric one: this run completes, and
 # its warning line reports a nonzero recovered count.
