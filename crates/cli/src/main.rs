@@ -94,6 +94,21 @@ macro_rules! outln {
     };
 }
 
+/// Write `args` to stderr: the one path to stderr of every command but
+/// `serve`. A failed write is dropped, because stderr is where failures
+/// are reported and there is nowhere left to report it; the command keeps
+/// the exit code it would have returned.
+fn note(args: std::fmt::Arguments<'_>) {
+    let _ = std::io::stderr().lock().write_fmt(args);
+}
+
+/// `eprintln!` through [`note`].
+macro_rules! noteln {
+    ($($arg:tt)*) => {
+        note(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// The fault spec parsed from `--fault-spec` / `XMODEL_FAULT_SPEC`;
 /// defaults to no faults.
 static FAULT_SPEC: OnceLock<FaultSpec> = OnceLock::new();
@@ -114,20 +129,20 @@ fn solver_force() -> DegradeForce {
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if let Err(e) = init_faults(&mut args) {
-        eprintln!("error: {e}");
+        noteln!("error: {e}");
         usage();
         return ExitCode::from(2);
     }
     let tracing = match init_tracing(&mut args) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("error: {e}");
+            noteln!("error: {e}");
             usage();
             return ExitCode::from(2);
         }
     };
     if let Err(e) = init_metrics(&mut args) {
-        eprintln!("error: {e}");
+        noteln!("error: {e}");
         usage();
         return ExitCode::from(2);
     }
@@ -166,15 +181,15 @@ fn main() -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(CliError::Model(e)) => {
-            eprintln!("error: {e}");
+            noteln!("error: {e}");
             ExitCode::from(1)
         }
         Err(CliError::Findings(msg)) => {
-            eprintln!("{msg}");
+            noteln!("{msg}");
             ExitCode::from(1)
         }
         Err(CliError::Usage(e)) => {
-            eprintln!("error: {e}");
+            noteln!("error: {e}");
             usage();
             ExitCode::from(2)
         }
@@ -251,11 +266,11 @@ fn init_metrics(args: &mut Vec<String>) -> Result<(), String> {
         args.remove(i);
         let server =
             xmodel_obs::serve_metrics(&addr).map_err(|e| format!("--metrics-addr {addr}: {e}"))?;
-        eprintln!("metrics: serving http://{}/metrics", server.addr());
+        noteln!("metrics: serving http://{}/metrics", server.addr());
         return Ok(());
     }
     if let Some(server) = xmodel_obs::init_metrics_from_env() {
-        eprintln!("metrics: serving http://{}/metrics", server.addr());
+        noteln!("metrics: serving http://{}/metrics", server.addr());
     }
     Ok(())
 }
@@ -326,7 +341,7 @@ exit codes:
 ";
 
 fn usage() {
-    eprint!("{USAGE}");
+    note(format_args!("{USAGE}"));
 }
 
 /// Every flag `xmodel trace-report` reads.
@@ -394,7 +409,7 @@ fn cmd_sim_report(args: &[String]) -> Result<(), CliError> {
     // Keep stdout machine-parseable under --json: notices go to stderr.
     let notice = |msg: String| {
         if flags.contains_key("json") {
-            eprintln!("{msg}");
+            noteln!("{msg}");
             Ok(())
         } else {
             outln!("{msg}")
@@ -481,9 +496,10 @@ fn cmd_residuals(args: &[String]) -> Result<(), CliError> {
         .resolve_operating_point_with(xmodel::core::solver::DEFAULT_SAMPLES, solver_force())
         .map_err(CliError::model)?;
     if resolved.degradation.is_degraded() {
-        eprintln!(
+        noteln!(
             "warning: operating point degraded to `{}` (residual {:.3e})",
-            resolved.degradation, resolved.residual
+            resolved.degradation,
+            resolved.residual
         );
     }
     let p = &resolved.point;
@@ -620,7 +636,7 @@ fn cmd_trace_diff(args: &[String]) -> Result<(), CliError> {
         // Keep stdout pure JSON under --json so the output stays
         // machine-parseable; the notice is advisory either way.
         if flags.contains_key("json") {
-            eprintln!("wrote {folded}");
+            noteln!("wrote {folded}");
         } else {
             outln!("wrote {folded}")?;
         }
@@ -840,7 +856,7 @@ fn report(
         .resolve_operating_point_with(xmodel::core::solver::DEFAULT_SAMPLES, solver_force())
         .map_err(CliError::model)?;
     if resolved.degradation.is_degraded() {
-        eprintln!(
+        noteln!(
             "warning: operating point degraded to `{}` (residual {:.3e}, schema {})",
             resolved.degradation,
             resolved.residual,
@@ -1028,10 +1044,15 @@ fn cmd_sim(args: &[String]) -> Result<(), CliError> {
         (stats, sm.fault_counters())
     };
     if let Some(f) = faults {
-        eprintln!(
+        noteln!(
             "warning: injected memory faults: {} spikes, {} drops, {} dups, {} throttled \
              ({} recovered, {} spurious wakes absorbed)",
-            f.spikes, f.drops, f.dups, f.throttled, stats.lost_recovered, stats.spurious_wakes
+            f.spikes,
+            f.drops,
+            f.dups,
+            f.throttled,
+            stats.lost_recovered,
+            stats.spurious_wakes
         );
     }
     let units = gpu.units(precision);

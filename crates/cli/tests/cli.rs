@@ -543,6 +543,46 @@ fn full_stdout_is_a_typed_error() {
     }
 }
 
+/// A full stderr changes no exit code and no stdout byte: `help` is
+/// still exit 0, an unknown command exit 2, and a degraded `draw` exit 0
+/// with its warning line dropped, never a panic (101). Skipped where
+/// there is no `/dev/full`.
+#[test]
+fn full_stderr_keeps_exit_codes_and_stdout() {
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        return;
+    };
+    let draw = [
+        "draw",
+        "--m",
+        "6",
+        "--r",
+        "0.107",
+        "--l",
+        "520",
+        "--z",
+        "20",
+        "--e",
+        "1",
+        "--n",
+        "48",
+        "--fault-spec",
+        "solver=no-bracket",
+    ];
+    let cases: [(&[&str], i32); 3] = [(&["help"], 0), (&["frobnicate"], 2), (&draw, 0)];
+    for (args, code) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_xmodel"))
+            .args(args)
+            .stderr(full.try_clone().expect("reopen /dev/full"))
+            .output()
+            .expect("spawn xmodel");
+        assert_eq!(out.status.code(), Some(code), "{args:?}");
+        let (_, want, err) = run(args);
+        assert_eq!(String::from_utf8_lossy(&out.stdout), want, "{args:?}");
+        assert!(!err.is_empty(), "{args:?} writes stderr");
+    }
+}
+
 /// `trace-report --svg` on a trace without simulator snapshots says
 /// it writes nothing.
 #[test]

@@ -69,10 +69,14 @@ impl LruSet {
 /// often but holds more lines, and 3×, 4× and 8× won no whole fit.
 const WINDOW_PER_LINE: usize = 2;
 
-/// The empty key of [`StackDepths`]' line table, and the line of a stamp
-/// whose line has been accessed again since. No line number reaches it:
-/// lines are byte addresses divided by `LINE_BYTES`.
+/// The line of a [`StackDepths`] stamp that no line holds: not handed
+/// out yet, or its line has been accessed again since. No line number
+/// reaches it: lines are byte addresses divided by `LINE_BYTES`.
 const VACANT: u64 = u64::MAX;
+
+/// An empty slot of [`StackDepths`]' line table. No stamp reaches it: a
+/// stamp indexes the window's own allocation.
+const NO_STAMP: usize = usize::MAX;
 
 /// Stamps per word of [`StackDepths`]' mark set.
 const MARK_BITS: usize = 64;
@@ -91,11 +95,13 @@ const MARK_BITS: usize = 64;
 /// stream.
 struct StackDepths {
     limit: usize,
-    /// Line → stamp, open-addressed: `VACANT` keys are empty, probing is
+    /// Line → stamp, open-addressed: a slot holds the stamp of a live
+    /// line, whose key is `line_at[stamp]`, or `NO_STAMP`. Probing is
     /// linear from a Fibonacci hash, and the slot count is a power of two
-    /// at least twice the window. Nothing is deleted: the table holds at
-    /// most one entry per stamp, and `compact` clears it.
-    slots: Vec<(u64, usize)>,
+    /// at least twice the window. Nothing is deleted: a line keeps its
+    /// slot while it lives, so the table holds at most one entry per
+    /// stamp, and `compact` clears it.
+    slots: Vec<usize>,
     /// `64 − log2(slots.len())`: the hash keeps the product's top bits.
     shift: u32,
     line_at: Vec<u64>,
@@ -110,7 +116,7 @@ impl StackDepths {
         let slots = (2 * window).next_power_of_two();
         Self {
             limit,
-            slots: vec![(VACANT, 0); slots],
+            slots: vec![NO_STAMP; slots],
             shift: u64::BITS - slots.trailing_zeros(),
             line_at: vec![VACANT; window],
             marks: vec![0; window.div_ceil(MARK_BITS)],
@@ -149,12 +155,12 @@ impl StackDepths {
         let mut i = (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
         loop {
             let slot = &mut self.slots[i];
-            if slot.0 == line {
-                return Some(std::mem::replace(&mut slot.1, stamp));
-            }
-            if slot.0 == VACANT {
-                *slot = (line, stamp);
+            if *slot == NO_STAMP {
+                *slot = stamp;
                 return None;
+            }
+            if self.line_at[*slot] == line {
+                return Some(std::mem::replace(slot, stamp));
             }
             i = (i + 1) & mask;
         }
@@ -174,7 +180,7 @@ impl StackDepths {
     fn compact(&mut self) {
         let mut forget = self.live.saturating_sub(self.limit);
         let mut next = 0;
-        self.slots.fill((VACANT, 0));
+        self.slots.fill(NO_STAMP);
         for stamp in 0..self.line_at.len() {
             let line = std::mem::replace(&mut self.line_at[stamp], VACANT);
             if line == VACANT {
@@ -199,16 +205,40 @@ impl StackDepths {
     }
 }
 
-/// Hits at each of `capacities` (bytes) when `gens` interleave
-/// round-robin through one shared fully-associative LRU cache: the
-/// `accesses` after an `accesses / 4` warm-up are counted. One pass over
-/// the stream serves every capacity.
-fn lru_hits(
+/// Rounds of addresses [`lockstep_hits`] draws before it feeds them to its
+/// passes, so each pass runs a stretch of its stream with its own line
+/// table hot. Sized by measurement (EXPERIMENTS.md, "Draw each warp's
+/// stream once per fit").
+const BUFFER_ROUNDS: usize = 64;
+
+/// One sharer count's stack-distance pass in [`lockstep_hits`].
+struct Pass {
+    /// Streams the pass interleaves: the first `k` of the loop's.
+    k: usize,
+    /// Index of the pass's next access, `t·k` at the start of round `t`.
+    next: usize,
+    depths: StackDepths,
+    at_depth: Vec<usize>,
+}
+
+/// Hits at each of `capacities` (bytes), one row per sharer count of
+/// `ks`: row `j` counts what the first `ks[j]` of `gens` hit when they
+/// interleave round-robin through one shared fully-associative LRU
+/// cache, over the `accesses` after an `accesses / 4` warm-up.
+///
+/// Each count has a pass of its own, and one pass serves every capacity.
+/// The passes run in lockstep: in round `t` stream `w` draws its `t`-th
+/// address once, and every pass with `k > w` that is still short of its
+/// total takes it as its access `t·k + w`. A stream's addresses do not
+/// depend on how many streams share the cache, so each pass sees the
+/// same accesses in the same order as a pass drawing alone would.
+fn lockstep_hits(
     gens: &mut [Box<dyn AddressStream>],
+    ks: &[usize],
     capacities: &[u64],
     accesses: usize,
-) -> Vec<usize> {
-    assert!(!gens.is_empty());
+) -> Vec<Vec<usize>> {
+    assert!(ks.iter().all(|&k| (1..=gens.len()).contains(&k)));
     let warm = accesses / 4;
     let total = accesses + warm;
     // Capacities in lines, rounded as `LruSet::new` rounds them. No depth
@@ -218,23 +248,70 @@ fn lru_hits(
         .map(|&c| ((c / LINE_BYTES) as usize).clamp(1, total.max(1)))
         .collect();
     let limit = caps.iter().copied().max().unwrap_or(1);
-    let mut depths = StackDepths::new(limit);
-    let mut at_depth = vec![0usize; limit];
-    // Warp `i % gens.len()` draws access `i`, counted without a division.
-    let mut turn = 0;
-    for i in 0..total {
-        let addr = gens[turn].next_addr();
-        turn += 1;
-        if turn == gens.len() {
-            turn = 0;
+    let mut passes: Vec<Pass> = ks
+        .iter()
+        .map(|&k| Pass {
+            k,
+            next: 0,
+            depths: StackDepths::new(limit),
+            at_depth: vec![0; limit],
+        })
+        .collect();
+    let width = ks.iter().copied().max().unwrap_or(1);
+    let mut lines = vec![0; BUFFER_ROUNDS * width];
+    loop {
+        // Round `r` of the buffer draws the longest prefix of the streams
+        // that a pass still needs.
+        let mut rounds = 0;
+        for row in lines.chunks_exact_mut(width) {
+            let n = passes
+                .iter()
+                .map(|p| p.k.min(total.saturating_sub(p.next + rounds * p.k)))
+                .max()
+                .unwrap_or(0);
+            if n == 0 {
+                break;
+            }
+            for (line, gen) in row.iter_mut().zip(&mut gens[..n]) {
+                *line = gen.next_addr() / LINE_BYTES;
+            }
+            rounds += 1;
         }
-        if let Some(d) = depths.access(addr / LINE_BYTES) {
-            if i >= warm {
-                at_depth[d] += 1;
+        if rounds == 0 {
+            break;
+        }
+        for p in &mut passes {
+            for row in lines.chunks_exact(width).take(rounds) {
+                let n = p.k.min(total - p.next);
+                for (w, &line) in row[..n].iter().enumerate() {
+                    if let Some(d) = p.depths.access(line) {
+                        if p.next + w >= warm {
+                            p.at_depth[d] += 1;
+                        }
+                    }
+                }
+                p.next += n;
             }
         }
     }
-    caps.iter().map(|&c| at_depth[..c].iter().sum()).collect()
+    passes
+        .iter()
+        .map(|p| caps.iter().map(|&c| p.at_depth[..c].iter().sum()).collect())
+        .collect()
+}
+
+/// Hits at each of `capacities` (bytes) when all of `gens` interleave
+/// round-robin through one shared fully-associative LRU cache: the
+/// lockstep loop with its single sharer count.
+fn lru_hits(
+    gens: &mut [Box<dyn AddressStream>],
+    capacities: &[u64],
+    accesses: usize,
+) -> Vec<usize> {
+    let k = gens.len();
+    lockstep_hits(gens, &[k], capacities, accesses)
+        .pop()
+        .unwrap_or_default()
 }
 
 /// The `k` warps' address streams of `spec`.
@@ -259,18 +336,6 @@ pub fn measure_hit_rate_streams(
     // One capacity, so one count.
     let hits: usize = lru_hits(&mut gens, &[cache_bytes], accesses).iter().sum();
     hits as f64 / accesses as f64
-}
-
-/// Measure the full hit-rate-vs-k curve.
-pub fn measure_hit_curve(
-    spec: &TraceSpec,
-    ks: &[u32],
-    cache_bytes: u64,
-    accesses: usize,
-) -> Vec<(f64, f64)> {
-    ks.iter()
-        .map(|&k| (k as f64, measure_hit_rate(spec, k, cache_bytes, accesses)))
-        .collect()
 }
 
 /// Result of fitting the Jacob model to measured hit rates.
@@ -384,11 +449,32 @@ pub fn fit_jacob(samples: &[(f64, f64)], s_cache: f64) -> JacobFit {
 const FIT_KS: [u32; 10] = [1, 2, 4, 6, 8, 12, 16, 24, 32, 48];
 /// Accesses counted per sample of a trace fit.
 const FIT_ACCESSES: usize = 20_000;
+/// Sharer counts of [`FIT_KS`] that one [`lockstep_hits`] loop runs at
+/// once. Each live pass holds tables of its own (~25 KB at the 48 KiB
+/// reference capacity), so a larger group saves draws at a cost in
+/// memory. Sized by measurement (EXPERIMENTS.md, "Draw each warp's
+/// stream once per fit").
+const FIT_GROUP: usize = 4;
 
-/// Convenience: measure a trace's hit curve on a cache and fit `(α, β)`.
-pub fn fit_trace(spec: &TraceSpec, cache_bytes: u64) -> JacobFit {
-    let curve = measure_hit_curve(spec, &FIT_KS, cache_bytes, FIT_ACCESSES);
-    fit_jacob(&curve, cache_bytes as f64)
+/// Hits at each of `capacities`, one row per count of [`FIT_KS`], with
+/// `streams(k)` the first `k` warps' streams. Each group of
+/// [`FIT_GROUP`] counts draws its streams once, in lockstep.
+fn fit_hits(
+    streams: impl Fn(u32) -> Vec<Box<dyn AddressStream>>,
+    capacities: &[u64],
+) -> Vec<Vec<usize>> {
+    let mut hits = Vec::with_capacity(FIT_KS.len());
+    for group in FIT_KS.chunks(FIT_GROUP) {
+        let ks: Vec<usize> = group.iter().map(|&k| k as usize).collect();
+        let widest = group.iter().copied().max().unwrap_or(1);
+        hits.extend(lockstep_hits(
+            &mut streams(widest),
+            &ks,
+            capacities,
+            FIT_ACCESSES,
+        ));
+    }
+    hits
 }
 
 /// Least-squares fit of one `(α, β)` pair against samples taken at
@@ -415,11 +501,7 @@ pub fn fit_jacob_multi(samples: &[(f64, f64, f64)]) -> JacobFit {
 /// cache it later runs against.
 pub fn fit_trace_capacities(spec: &TraceSpec, capacities: &[u64]) -> JacobFit {
     assert!(!capacities.is_empty());
-    // One pass per sharer count measures every capacity at once.
-    let hits: Vec<Vec<usize>> = FIT_KS
-        .iter()
-        .map(|&k| lru_hits(&mut warp_streams(spec, k), capacities, FIT_ACCESSES))
-        .collect();
+    let hits = fit_hits(|k| warp_streams(spec, k), capacities);
     // Samples in capacity-major order: one hit curve per capacity.
     let mut samples = Vec::with_capacity(capacities.len() * FIT_KS.len());
     for (c, &cap) in capacities.iter().enumerate() {
@@ -435,6 +517,8 @@ mod tests {
     use super::*;
     use crate::{Workload, WorkloadId};
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// Hits counted by the per-capacity replay the one-pass count
     /// replaced: fresh streams through a fresh [`LruSet`].
@@ -514,26 +598,115 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The one-pass count equals a per-capacity `LruSet` replay at
-        /// every capacity, whatever the order or repetition of the list.
+        /// The lockstep count equals a per-capacity `LruSet` replay for
+        /// every sharer count at every capacity, whatever the order or
+        /// repetition of either list.
         #[test]
         fn one_pass_hits_match_per_capacity_replay(
             spec in any_trace(),
-            k in 1u32..=48,
+            ks in prop::collection::vec(1usize..=48, 1..5),
             capacities in prop::collection::vec(any_capacity(), 1..5),
             accesses in prop_oneof![0usize..8, 8usize..3000],
         ) {
-            let hits = lru_hits(&mut warp_streams(&spec, k), &capacities, accesses);
-            for (&cap, &h) in capacities.iter().zip(&hits) {
-                prop_assert_eq!(h, replay_hits(&spec, k, cap, accesses));
+            let widest = ks.iter().copied().max().unwrap_or(1);
+            let mut gens = warp_streams(&spec, widest as u32);
+            let hits = lockstep_hits(&mut gens, &ks, &capacities, accesses);
+            prop_assert_eq!(hits.len(), ks.len());
+            for (&k, row) in ks.iter().zip(&hits) {
+                for (&cap, &h) in capacities.iter().zip(row) {
+                    prop_assert_eq!(h, replay_hits(&spec, k as u32, cap, accesses));
+                }
             }
-            let rate = measure_hit_rate(&spec, k, capacities[0], accesses);
+            let rate = measure_hit_rate(&spec, ks[0] as u32, capacities[0], accesses);
             if accesses == 0 {
                 prop_assert!(rate.is_nan());
             } else {
-                prop_assert_eq!(rate, hits[0] as f64 / accesses as f64);
+                prop_assert_eq!(rate, hits[0][0] as f64 / accesses as f64);
             }
         }
+    }
+
+    /// A warp's stream that counts its draws.
+    struct Counted {
+        stream: Box<dyn AddressStream>,
+        draws: Arc<AtomicUsize>,
+    }
+
+    impl AddressStream for Counted {
+        fn next_addr(&mut self) -> u64 {
+            self.draws.fetch_add(1, Ordering::Relaxed);
+            self.stream.next_addr()
+        }
+    }
+
+    /// The `k` warps' streams of `spec`, each counting its draws into
+    /// its own counter of `draws`.
+    fn counted_streams(
+        spec: &TraceSpec,
+        draws: &[Arc<AtomicUsize>],
+        k: u32,
+    ) -> Vec<Box<dyn AddressStream>> {
+        warp_streams(spec, k)
+            .into_iter()
+            .zip(draws)
+            .map(|(stream, draws)| {
+                let draws = Arc::clone(draws);
+                Box::new(Counted { stream, draws }) as Box<dyn AddressStream>
+            })
+            .collect()
+    }
+
+    /// Draws of warp `w` that the passes of `ks` need over `total`
+    /// accesses each: the most turns any pass with `k > w` gives it.
+    fn draws_needed(ks: &[usize], w: usize, total: usize) -> usize {
+        ks.iter()
+            .filter(|&&k| k > w)
+            .map(|&k| total.saturating_sub(w).div_ceil(k))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The lockstep loop draws each warp's address once per round, not
+    /// once per pass, and the fit's grouping of `FIT_KS` draws the total
+    /// EXPERIMENTS.md names.
+    #[test]
+    fn lockstep_draws_each_address_once() {
+        let spec = TraceSpec::Gather {
+            footprint_lines: 512,
+            skew: 0.8,
+        };
+        let lists: [&[usize]; 5] = [&[1, 2, 4, 6], &[48, 3, 3, 17], &[5], &[7, 1], &[32, 48]];
+        for ks in lists {
+            for accesses in [0, 1, 9, 2_000] {
+                let widest = ks.iter().copied().max().unwrap_or(1);
+                let draws: Vec<_> = (0..widest).map(|_| Arc::default()).collect();
+                let mut gens = counted_streams(&spec, &draws, widest as u32);
+                lockstep_hits(&mut gens, ks, &[16 * 1024], accesses);
+                for (w, drawn) in draws.iter().enumerate() {
+                    let want = draws_needed(ks, w, accesses + accesses / 4);
+                    let got = drawn.load(Ordering::Relaxed);
+                    assert_eq!(got, want, "{ks:?}, {accesses} accesses, warp {w}");
+                }
+            }
+        }
+
+        let widest = FIT_KS.iter().copied().max().unwrap_or(1);
+        let draws: Vec<_> = (0..widest).map(|_| Arc::default()).collect();
+        fit_hits(|k| counted_streams(&spec, &draws, k), &[16 * 1024]);
+        let drawn: usize = draws.iter().map(|d| d.load(Ordering::Relaxed)).sum();
+        let total = FIT_ACCESSES + FIT_ACCESSES / 4;
+        let needed: usize = FIT_KS
+            .chunks(FIT_GROUP)
+            .map(|group| {
+                let ks: Vec<usize> = group.iter().map(|&k| k as usize).collect();
+                (0..widest as usize)
+                    .map(|w| draws_needed(&ks, w, total))
+                    .sum::<usize>()
+            })
+            .sum();
+        assert_eq!(drawn, needed);
+        // A pass per sharer count drew `FIT_KS.len() * total`, 250,000.
+        assert_eq!(drawn, 139_568);
     }
 
     #[test]
@@ -833,7 +1006,7 @@ mod tests {
             stream_prob: 0.1,
             reuse_skew: 0.0,
         };
-        let fit = fit_trace(&spec, 16 * 1024);
+        let fit = fit_trace_capacities(&spec, &[16 * 1024]);
         // Strong locality: alpha well above the cache-insensitive regime.
         assert!(fit.alpha > 1.3, "alpha = {}", fit.alpha);
         assert!(fit.rmse < 0.15, "rmse = {}", fit.rmse);

@@ -217,6 +217,15 @@ if [ -e /dev/full ]; then
     [ "$full_status" -eq 1 ] && ! grep -q panicked "$full_err" \
       || { echo "$cmd into /dev/full must exit 1 without a panic, got $full_status: $(cat "$full_err")" >&2; exit 1; }
   done
+  # A full stderr drops the lost text and keeps each exit code.
+  for want in "help 0" "frobnicate 2"; do
+    set +e
+    $xm ${want% *} > /dev/null 2> /dev/full
+    full_status=$?
+    set -e
+    [ "$full_status" -eq "${want#* }" ] \
+      || { echo "${want% *} with stderr on /dev/full must exit ${want#* }, got $full_status" >&2; exit 1; }
+  done
 fi
 # 0 + warning — the IR driver heals dropped completions through the
 # memory side it shares with the parametric one: this run completes, and
