@@ -158,7 +158,7 @@ impl IrSm {
         self.warps[wi].state = WarpState::Running;
         if is_global && self.measuring {
             self.stats.requests_completed += 1;
-            self.stats.bytes_delivered += self.cfg.request_bytes.round().max(1.0) as u64;
+            self.stats.bytes_delivered += self.mem.request_bytes();
         }
         self.next_inst(wi);
     }
