@@ -144,10 +144,12 @@ impl L1Cache {
     }
 
     /// Complete the fill on `mshr`: install the line (LRU eviction) and
-    /// return the waiter list.
-    pub fn complete_fill(&mut self, mshr: usize) -> Vec<u32> {
-        assert!(self.mshrs[mshr].busy, "completing idle MSHR {mshr}");
-        let line = self.mshrs[mshr].line;
+    /// return its waiters, primary first. The MSHR keeps their buffer for
+    /// its next miss. A completion for an idle or out-of-range MSHR (a
+    /// duplicated or stale fill under fault injection) is absorbed as
+    /// `None`.
+    pub fn try_complete_fill(&mut self, mshr: usize) -> Option<&[u32]> {
+        let line = self.mshrs.get(mshr).filter(|m| m.busy)?.line;
         let set = self.set_of(line);
         self.tick += 1;
 
@@ -179,17 +181,7 @@ impl L1Cache {
 
         let m = &mut self.mshrs[mshr];
         m.busy = false;
-        std::mem::take(&mut m.waiters)
-    }
-
-    /// Duplicate-safe variant of [`L1Cache::complete_fill`]: a completion
-    /// for an idle or out-of-range MSHR (a duplicated or stale fill under
-    /// fault injection) is absorbed as `None` instead of panicking.
-    pub fn try_complete_fill(&mut self, mshr: usize) -> Option<Vec<u32>> {
-        match self.mshrs.get(mshr) {
-            Some(m) if m.busy => Some(self.complete_fill(mshr)),
-            _ => None,
-        }
+        Some(&m.waiters)
     }
 
     /// Number of MSHRs currently busy.
@@ -296,8 +288,7 @@ mod tests {
         let Access::MissAllocated { mshr } = r else {
             panic!("expected fresh miss, got {r:?}")
         };
-        let waiters = c.complete_fill(mshr);
-        assert_eq!(waiters, vec![0]);
+        assert_eq!(c.try_complete_fill(mshr), Some(&[0][..]));
         assert_eq!(c.access(0, 1), Access::Hit);
         assert_eq!(c.access(64, 1), Access::Hit, "same 128B line");
     }
@@ -310,8 +301,7 @@ mod tests {
         };
         assert_eq!(c.access(0, 1), Access::MissMerged { mshr });
         assert_eq!(c.access(64, 2), Access::MissMerged { mshr });
-        let waiters = c.complete_fill(mshr);
-        assert_eq!(waiters, vec![0, 1, 2]);
+        assert_eq!(c.try_complete_fill(mshr), Some(&[0, 1, 2][..]));
     }
 
     #[test]
@@ -330,7 +320,7 @@ mod tests {
         // Lines 0, 2, 4 all map to set 0 (line % 2 == 0).
         for line in [0u64, 2, 4] {
             if let Access::MissAllocated { mshr } = c.access(line * 128, 0) {
-                c.complete_fill(mshr);
+                c.try_complete_fill(mshr);
             }
         }
         // Line 0 was LRU and must be evicted; 2 and 4 remain.
@@ -345,7 +335,7 @@ mod tests {
         let Access::MissAllocated { mshr } = c.access(0, 0) else {
             panic!()
         };
-        c.complete_fill(mshr);
+        c.try_complete_fill(mshr);
         c.access(0, 0);
         c.access(0, 0);
         // 2 hits / (2 hits + 1 miss).
@@ -389,11 +379,27 @@ mod tests {
         let Access::MissAllocated { mshr } = c.access(0, 0) else {
             panic!()
         };
-        assert_eq!(c.try_complete_fill(mshr), Some(vec![0]));
+        assert_eq!(c.try_complete_fill(mshr), Some(&[0][..]));
         // Second (duplicated) completion: absorbed, not a panic.
         assert_eq!(c.try_complete_fill(mshr), None);
         // Out-of-range tag: absorbed.
         assert_eq!(c.try_complete_fill(999), None);
+    }
+
+    #[test]
+    fn reused_mshr_keeps_its_waiter_buffer() {
+        let mut c = L1Cache::new(cfg(1024, 2, 1));
+        let Access::MissAllocated { mshr } = c.access(0, 0) else {
+            panic!()
+        };
+        c.access(0, 1);
+        c.access(0, 2);
+        let buffer = c.mshrs[mshr].waiters.as_ptr();
+        assert_eq!(c.try_complete_fill(mshr), Some(&[0, 1, 2][..]));
+        // The next miss reuses the MSHR, and its buffer with it.
+        assert_eq!(c.access(4096, 3), Access::MissAllocated { mshr });
+        assert_eq!(c.mshrs[mshr].waiters.as_ptr(), buffer);
+        assert_eq!(c.try_complete_fill(mshr), Some(&[3][..]));
     }
 
     #[test]
@@ -402,14 +408,14 @@ mod tests {
         let Access::MissAllocated { mshr: m1 } = c.access(0, 0) else {
             panic!()
         };
-        c.complete_fill(m1);
+        c.try_complete_fill(m1);
         // New miss on a different line mapping to the same set, then a
         // re-fill of line 0 via a racing MSHR must not evict anything
         // erroneously — just reuse the present line.
         let Access::MissAllocated { mshr: m2 } = c.access(2 * 128, 0) else {
             panic!()
         };
-        c.complete_fill(m2);
+        c.try_complete_fill(m2);
         assert_eq!(c.access(0, 0), Access::Hit);
         assert_eq!(c.access(2 * 128, 0), Access::Hit);
     }
