@@ -115,7 +115,15 @@ fn smoke_measure_writes_comparable_snapshot() {
     let text = std::fs::read_to_string(&out_path).expect("snapshot written");
     assert!(text.contains("\"schema\":\"xmodel-bench/1\""), "{text}");
     assert!(text.contains("solver/solve"), "{text}");
-    assert!(text.contains("e2e/validate_gesummv"), "{text}");
+    for name in [
+        "sim/measure_l1_l2",
+        "sim/chip_4sm",
+        "sim/measure_ir",
+        "e2e/validate_gesummv",
+        "e2e/validate_leukocyte",
+    ] {
+        assert!(text.contains(name), "{name}: {text}");
+    }
 
     // A fresh snapshot must be comparable against itself (exit 0).
     let cmp = bench_report(&[
