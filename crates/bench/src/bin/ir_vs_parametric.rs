@@ -19,24 +19,10 @@ fn main() -> std::io::Result<()> {
     let mut rows = Vec::new();
     let mut errs = Vec::new();
     for w in Workload::suite() {
-        let precision = xmodel::profile::fitting::workload_precision(&w);
-        let mut cfg = xmodel::profile::sim_config_for(&gpu, precision);
-        cfg.request_bytes = 128.0 * w.coalesce;
-        let a = w.kernel.analyze();
-        let occ = Occupancy::compute(&w.kernel, &xmodel::profile::fitting::arch_limits(&gpu, 0));
-        let n = occ.warps.min(gpu.max_warps as u32);
+        let (cfg, wl) = sim_pairing(&gpu, &w, 0);
+        let n = wl.warps;
 
-        let par = xmodel::sim::simulate(
-            &cfg,
-            &SimWorkload {
-                trace: w.trace,
-                ops_per_request: a.intensity,
-                ilp: a.ilp,
-                warps: n,
-            },
-            15_000,
-            50_000,
-        );
+        let par = xmodel::sim::simulate(&cfg, &wl, 15_000, 50_000);
         let ir = simulate_ir(&cfg, &w.kernel, w.trace, n, 15_000, 50_000);
 
         let err = if par.cs_throughput() > 0.0 {

@@ -4,8 +4,9 @@
 //! printing the regenerated rows/series to stdout and writing CSV data
 //! plus an SVG rendering under `target/experiments/`. The `benches/`
 //! directory holds Criterion micro-benchmarks of the reproduction itself
-//! (solver, simulator, cache model, trace generation) including the
-//! ablations DESIGN.md calls out.
+//! (solver, cache model, trace generation, figure assembly, tracing
+//! overhead) including the ablations DESIGN.md calls out; the simulator
+//! is measured by the `bench-report` binary.
 
 #![forbid(unsafe_code)]
 
@@ -114,6 +115,7 @@ mod tests {
 /// Shared setup for the §VI case-study experiments (Figs. 12–18).
 pub mod case_study {
     use xmodel::prelude::*;
+    use xmodel::sim::config::L2Config;
 
     /// The case-study application.
     pub fn app() -> Workload {
@@ -130,33 +132,28 @@ pub mod case_study {
         xmodel::profile::fitting::assemble_model(&gpu(), &app(), l1_kib * 1024)
     }
 
-    /// Simulator configuration for the case study: Fermi SM share with an
-    /// L1 of `l1_kib` KiB (0 disables), a 51 KiB L2 share, gesummv's 3×
-    /// coalescing factor, and `bypass` fraction of warps skipping L1.
+    /// Simulator configuration for the case study: the Fermi pairing of
+    /// gesummv with an L1 of `l1_kib` KiB (0 disables), plus a 51 KiB L2
+    /// share and `bypass` fraction of warps skipping L1.
     pub fn sim_config(l1_kib: u64, bypass: f64) -> SimConfig {
-        let base = xmodel::profile::sim_config_for(&gpu(), Precision::Single);
-        let mut b = SimConfig::builder()
-            .lanes(base.lanes)
-            .issue_width(base.issue_width)
-            .lsu(base.lsu_per_cycle)
-            .dram(base.dram.latency, base.dram.bytes_per_cycle)
-            .request_bytes(128.0 * app().coalesce)
-            .l2(51 * 1024, 180, base.dram.bytes_per_cycle * 2.0);
-        if l1_kib > 0 {
-            b = b.l1(l1_kib * 1024, 28, 64).bypass(bypass);
+        let (mut cfg, _) = sim_pairing(&gpu(), &app(), l1_kib * 1024);
+        // Per-SM share of the 768 KiB chip L2: bypassed requests ride its
+        // higher bandwidth.
+        cfg.l2 = Some(L2Config {
+            capacity_bytes: 51 * 1024,
+            latency: 180,
+            bytes_per_cycle: cfg.dram.bytes_per_cycle * 2.0,
+        });
+        if cfg.l1.is_some() {
+            cfg.bypass_fraction = bypass;
         }
-        b.build()
+        cfg
     }
 
     /// Simulator workload for gesummv at `warps` resident warps.
     pub fn sim_workload(warps: u32) -> SimWorkload {
-        let a = app().kernel.analyze();
-        SimWorkload {
-            trace: app().trace,
-            ops_per_request: a.intensity,
-            ilp: a.ilp,
-            warps,
-        }
+        let (_, wl) = sim_pairing(&gpu(), &app(), 0);
+        SimWorkload { warps, ..wl }
     }
 
     /// Measured MS throughput (useful requests/cycle) for a configuration.

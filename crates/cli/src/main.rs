@@ -69,7 +69,7 @@ impl CliError {
 }
 
 /// Write `args` to stdout and flush it: the one path to stdout of every
-/// command but `sweep` (its own writer) and `serve`. A failed write or
+/// command but `sweep` (its own writer). A failed write or
 /// flush, such as a full disk or a closed pipe, is a typed error naming
 /// stdout (exit 1), never a panic.
 fn emit(args: std::fmt::Arguments<'_>) -> Result<(), CliError> {
@@ -981,28 +981,14 @@ fn cmd_sim(args: &[String]) -> Result<(), CliError> {
             .map(String::as_str)
             .unwrap_or("gesummv"),
     )?;
-    let precision = xmodel::profile::fitting::workload_precision(&w);
-    let mut cfg = xmodel::profile::sim_config_for(&gpu, precision);
-    cfg.request_bytes = 128.0 * w.coalesce;
     let l1 = get_l1_kib(&flags, 0)?;
-    if l1 > 0 {
-        cfg.l1 = Some(xmodel::sim::CacheConfig {
-            capacity_bytes: l1 * 1024,
-            line_bytes: 128,
-            ways: 8,
-            hit_latency: 28,
-            mshrs: 64,
-        });
+    let (cfg, mut wl) = sim_pairing(&gpu, &w, l1 * 1024);
+    if let Some(v) = flags.get("warps") {
+        wl.warps = parse_warps(v, gpu.max_warps as u32)?;
     }
-    let a = w.kernel.analyze();
-    let max_warps = gpu.max_warps as u32;
-    let warps = match flags.get("warps") {
-        Some(v) => parse_warps(v, max_warps)?,
-        None => {
-            let limits = xmodel::profile::fitting::arch_limits(&gpu, 0);
-            Occupancy::compute(&w.kernel, &limits).warps.min(max_warps)
-        }
-    };
+    // Without `--warps`, an L1 that leaves a block no shared memory pairs
+    // 0 warps: a typed error here, not an assert inside either driver.
+    wl.validate().map_err(CliError::model)?;
 
     let ir_mode = flags.contains_key("ir");
     let spec = fault_spec();
@@ -1016,7 +1002,7 @@ fn cmd_sim(args: &[String]) -> Result<(), CliError> {
         ..Watchdog::default()
     };
     let (stats, faults) = if ir_mode {
-        let mut sm = xmodel::sim::IrSm::new(&cfg, &w.kernel, w.trace, warps, 42);
+        let mut sm = xmodel::sim::IrSm::new(&cfg, &w.kernel, w.trace, wl.warps, 42);
         if spec.perturbs_memory() {
             sm.set_faults(&spec);
         }
@@ -1026,17 +1012,7 @@ fn cmd_sim(args: &[String]) -> Result<(), CliError> {
             .clone();
         (stats, sm.fault_counters())
     } else {
-        let mut sm = xmodel::sim::Sm::with_faults(
-            &cfg,
-            &SimWorkload {
-                trace: w.trace,
-                ops_per_request: a.intensity,
-                ilp: a.ilp,
-                warps,
-            },
-            42,
-            &spec,
-        );
+        let mut sm = xmodel::sim::Sm::with_faults(&cfg, &wl, 42, &spec);
         let stats = sm
             .run_watched(15_000, 50_000, &watchdog)
             .map_err(CliError::model)?
@@ -1055,12 +1031,12 @@ fn cmd_sim(args: &[String]) -> Result<(), CliError> {
             stats.spurious_wakes
         );
     }
-    let units = gpu.units(precision);
+    let units = gpu.units(xmodel::profile::fitting::workload_precision(&w));
     outln!(
         "{} on {} ({} warps, {} mode{})",
         w.name,
         gpu.name,
-        warps,
+        wl.warps,
         if ir_mode { "IR" } else { "parametric" },
         if cfg.l1.is_some() { ", L1 on" } else { "" }
     )?;
@@ -1432,17 +1408,18 @@ fn cmd_serve(flags: HashMap<String, String>) -> Result<(), CliError> {
         xmodel_obs::install(Box::new(xmodel_obs::NullSink));
     }
     let server = Server::start(cfg).map_err(|e| CliError::Model(format!("serve: {e}")))?;
-    println!("serve: listening on http://{}", server.addr());
-    let _ = std::io::stdout().flush();
+    // `outln!` flushes, so a client reading the port from the first line
+    // sees it before the daemon blocks in `wait`.
+    outln!("serve: listening on http://{}", server.addr())?;
     let report = server.wait();
-    println!(
+    outln!(
         "serve: drained — served {} shed {} deadline-exceeded {} malformed {} forced-degrade {}",
         report.served,
         report.shed,
         report.deadline_exceeded,
         report.malformed,
         report.forced_degrade
-    );
+    )?;
     if !report.clean_drain {
         return Err(CliError::Model(
             "serve: drain deadline exceeded; in-flight work abandoned".to_string(),

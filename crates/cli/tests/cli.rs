@@ -153,6 +153,74 @@ fn sim_with_l1_reports_hit_rate() {
     assert!(out.contains("hit rate"));
 }
 
+/// The number after `key` in `text`, up to the next non-digit.
+fn number_after(text: &str, key: &str) -> Option<u32> {
+    let rest = &text[text.find(key)? + key.len()..];
+    let end = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// With no `--warps`, `sim` runs the model's `n` at the same L1: on
+/// Fermi the L1 takes its share of the 64 KiB array from shared memory,
+/// so nw and lud lose warps as the L1 grows.
+#[test]
+fn sim_default_warps_are_the_models_n() {
+    let cases = [
+        ("nw", "fermi", "0", 8),
+        ("nw", "fermi", "16", 6),
+        ("nw", "fermi", "48", 2),
+        ("lud", "fermi", "0", 32),
+        ("lud", "fermi", "16", 24),
+        ("lud", "fermi", "48", 8),
+        ("gesummv", "fermi", "0", 48),
+        ("gesummv", "fermi", "16", 48),
+        ("gesummv", "fermi", "48", 48),
+        ("nw", "kepler", "16", 6),
+    ];
+    for (app, gpu, l1, n) in cases {
+        let (ok, model, err) = run(&["workload", app, "--gpu", gpu, "--l1", l1]);
+        assert!(ok, "workload {app} {gpu} {l1}: {err}");
+        let (ok, sim, err) = run(&["sim", "--workload", app, "--gpu", gpu, "--l1", l1]);
+        assert!(ok, "sim {app} {gpu} {l1}: {err}");
+        let what = format!("{app} on {gpu} with a {l1} KiB L1");
+        assert_eq!(number_after(&model, " n="), Some(n), "{what}: {model}");
+        assert_eq!(number_after(&sim, "("), Some(n), "{what}: {sim}");
+    }
+}
+
+/// An L1 of all 64 KiB leaves Fermi no shared memory, so nw and lud
+/// have no resident warp: both drivers exit 1 with a typed error naming
+/// `warps`, never an assert (101). An explicit `--warps` still runs.
+#[test]
+fn sim_with_no_resident_warps_is_a_typed_error() {
+    for app in ["nw", "lud"] {
+        let (ok, model, err) = run(&["workload", app, "--gpu", "fermi", "--l1", "64"]);
+        assert!(ok, "{err}");
+        assert_eq!(number_after(&model, " n="), Some(0), "{model}");
+        for ir in [&[][..], &["--ir"][..]] {
+            let out = Command::new(env!("CARGO_BIN_EXE_xmodel"))
+                .args(["sim", "--workload", app, "--gpu", "fermi", "--l1", "64"])
+                .args(ir)
+                .output()
+                .expect("spawn xmodel");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{app} {ir:?}: {err}");
+            assert!(err.starts_with("error: "), "{app} {ir:?}: {err}");
+            assert!(err.contains("warps"), "{app} {ir:?}: {err}");
+            assert!(!err.contains("usage"), "{app} {ir:?}: {err}");
+            assert!(out.stdout.is_empty(), "{app} {ir:?}: no output");
+            let mut args = vec!["sim", "--workload", app, "--gpu", "fermi", "--l1", "64"];
+            args.extend_from_slice(ir);
+            args.extend_from_slice(&["--warps", "4"]);
+            let (ok, out, err) = run(&args);
+            assert!(ok, "{args:?}: {err}");
+            assert!(out.contains("(4 warps"), "{args:?}: {out}");
+        }
+    }
+}
+
 #[test]
 fn whatif_runs_case_study() {
     let (ok, out, _) = run(&[
@@ -511,15 +579,16 @@ fn unwritable_output_file_is_a_typed_error() {
 }
 
 /// A full stdout is a typed error naming stdout (exit 1, no usage
-/// text), never a panic, in the one-shot commands. Skipped where there
-/// is no `/dev/full`.
+/// text), never a panic, in the one-shot commands and in `serve`, which
+/// stops at its listen banner. Skipped where there is no `/dev/full`.
 #[test]
 fn full_stdout_is_a_typed_error() {
     let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
         return;
     };
     let trace = concat!(env!("CARGO_MANIFEST_DIR"), "/../../TRACE_seed.jsonl");
-    let cases: [&[&str]; 6] = [
+    let cases: [&[&str]; 7] = [
+        &["serve", "--addr", "127.0.0.1:0"],
         &["list"],
         &["glossary"],
         &["workload", "gesummv", "--gpu", "fermi", "--l1", "16"],

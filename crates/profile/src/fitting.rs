@@ -29,6 +29,16 @@ pub fn arch_limits(spec: &GpuSpec, l1_bytes: u64) -> ArchLimits {
     }
 }
 
+/// Resident warps of `workload` on `spec` with an `l1_bytes` L1: its
+/// occupancy under [`arch_limits`], capped at the preset's `max_warps`.
+/// The model's `n` ([`assemble_model`]) and the simulator's warp count
+/// ([`crate::arch::sim_pairing`]) both come from here.
+pub(crate) fn resident_warps(spec: &GpuSpec, workload: &Workload, l1_bytes: u64) -> u32 {
+    Occupancy::compute(&workload.kernel, &arch_limits(spec, l1_bytes))
+        .warps
+        .min(spec.max_warps as u32)
+}
+
 /// Precision a workload needs (from its FP64 usage).
 pub fn workload_precision(w: &Workload) -> Precision {
     if w.kernel.analyze().uses_fp64 {
@@ -112,8 +122,7 @@ pub fn assemble_model(spec: &GpuSpec, workload: &Workload, l1_bytes: u64) -> XMo
     machine.r /= workload.coalesce;
 
     let analysis = workload.kernel.analyze();
-    let occ = Occupancy::compute(&workload.kernel, &arch_limits(spec, l1_bytes));
-    let n = occ.warps.min(spec.max_warps as u32) as f64;
+    let n = f64::from(resident_warps(spec, workload, l1_bytes));
     let wp = WorkloadParams::new(analysis.intensity, analysis.ilp, n);
     xmodel_obs::event!(
         "profile.model",

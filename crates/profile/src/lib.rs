@@ -8,7 +8,9 @@
 //! the `xmodel-sim` substrate:
 //!
 //! * [`arch`] — turn a [`xmodel_core::presets::GpuSpec`] into a simulator
-//!   configuration (per-SM DRAM share, lane count, issue widths);
+//!   configuration (per-SM DRAM share, lane count, issue widths), and
+//!   pair a preset, a suite app and an L1 with the simulator the way
+//!   [`fitting`] pairs them with the model ([`sim_pairing`]);
 //! * [`stream`] — sweep warp counts with the stream kernel to profile
 //!   `f(k)` and extract `R`, `L`, `δ`;
 //! * [`peak`] — saturate CS with register-only FMA kernels to profile `M`;
@@ -31,13 +33,13 @@ pub mod peak;
 pub mod stream;
 pub mod validate;
 
-pub use arch::sim_config_for;
+pub use arch::{sim_config_for, sim_pairing};
 pub use fitting::assemble_model;
 pub use validate::{validate_suite, AppValidation, ValidationReport};
 
 /// Glob import of the common types.
 pub mod prelude {
-    pub use crate::arch::sim_config_for;
+    pub use crate::arch::{sim_config_for, sim_pairing};
     pub use crate::bypass::bypass_trace_points;
     pub use crate::calibrate::{calibrate_private_ws, Calibration};
     pub use crate::fitting::assemble_model;

@@ -8,11 +8,12 @@
 //! paper's Kepler setup, global loads do not use L1 (f(k) is "mostly
 //! linear"), so the basic model faces the cache-less simulator.
 
-use crate::arch::sim_config_for;
-use crate::fitting::{assemble_model, workload_precision};
+use crate::arch::sim_pairing;
+use crate::fitting::assemble_model;
 use serde::{Deserialize, Serialize};
 use xmodel_core::presets::GpuSpec;
-use xmodel_sim::{simulate, SimWorkload};
+use xmodel_core::XModel;
+use xmodel_sim::{simulate, SimConfig, SimWorkload};
 use xmodel_workloads::Workload;
 
 /// Validation record for one application.
@@ -75,7 +76,8 @@ impl ValidationReport {
     }
 }
 
-/// Validate one workload on a GPU.
+/// Validate one workload on a GPU: its cacheless model against the
+/// simulator [`sim_pairing`] pairs with it.
 ///
 /// The operating point is resolved through the degradation ladder
 /// ([`xmodel_core::degrade`]), so a workload whose curves defeat exact
@@ -83,22 +85,24 @@ impl ValidationReport {
 /// the provenance — instead of aborting the suite.
 pub fn validate_one(spec: &GpuSpec, workload: &Workload) -> xmodel_core::Result<AppValidation> {
     let model = assemble_model(spec, workload, 0);
+    let (cfg, wl) = sim_pairing(spec, workload, 0);
+    compare(workload.name, &model, &cfg, &wl)
+}
+
+/// The §V comparison of one pairing: `model`'s operating point against
+/// what `cfg` measures running `wl`.
+fn compare(
+    name: &str,
+    model: &XModel,
+    cfg: &SimConfig,
+    wl: &SimWorkload,
+) -> xmodel_core::Result<AppValidation> {
     let resolved = model.resolve_operating_point()?;
     let op = resolved.point;
-
-    let precision = workload_precision(workload);
-    let mut cfg = sim_config_for(spec, precision);
-    cfg.request_bytes = 128.0 * workload.coalesce;
-    let wl = SimWorkload {
-        trace: workload.trace,
-        ops_per_request: model.workload.z,
-        ilp: model.workload.e,
-        warps: model.workload.n as u32,
-    };
-    let stats = simulate(&cfg, &wl, 15_000, 60_000);
+    let stats = simulate(cfg, wl, 15_000, 60_000);
 
     Ok(AppValidation {
-        name: workload.name.to_string(),
+        name: name.to_string(),
         predicted_cs: op.cs_throughput,
         measured_cs: stats.cs_throughput(),
         predicted_ms: op.ms_throughput,

@@ -12,8 +12,7 @@
 //! schedules or counts changes a digest.
 
 use xmodel_core::presets::GpuSpec;
-use xmodel_profile::arch::sim_config_for;
-use xmodel_profile::fitting::{assemble_model, workload_precision};
+use xmodel_profile::sim_pairing;
 use xmodel_sim::config::L2Config;
 use xmodel_sim::{CacheConfig, ChipSim, FaultCounters, FaultSpec, SimConfig, SimStats};
 use xmodel_sim::{SimWorkload, Sm};
@@ -22,15 +21,6 @@ use xmodel_workloads::Workload;
 const WARMUP: u64 = 2_000;
 const MEASURE: u64 = 8_000;
 const SEED: u64 = 42;
-
-/// The L1 `xmodel sim --l1 16` configures.
-const L1_16K: CacheConfig = CacheConfig {
-    capacity_bytes: 16 * 1024,
-    line_bytes: 128,
-    ways: 8,
-    hit_latency: 28,
-    mshrs: 64,
-};
 
 /// Expected digests by case label, captured from `Sm` before its stepped
 /// cycle learned to skip work it does not have.
@@ -267,18 +257,12 @@ fn digest(stats: &SimStats, faults: Option<FaultCounters>) -> u64 {
     h.0
 }
 
-/// `gpu`'s cacheless preset for `w` and the workload `validate_one`
-/// simulates on it.
-fn preset(gpu: &GpuSpec, w: &Workload) -> (SimConfig, SimWorkload) {
-    let model = assemble_model(gpu, w, 0);
-    let mut cfg = sim_config_for(gpu, workload_precision(w));
-    cfg.request_bytes = 128.0 * w.coalesce;
-    let wl = SimWorkload {
-        trace: w.trace,
-        ops_per_request: model.workload.z,
-        ilp: model.workload.e,
-        warps: model.workload.n as u32,
-    };
+/// The configuration of `gpu`'s pairing with `w` at an `l1_kib` L1, and
+/// the workload of its cacheless pairing: the digests were pinned with
+/// the cacheless warp count at every L1 size.
+fn preset(gpu: &GpuSpec, w: &Workload, l1_kib: u64) -> (SimConfig, SimWorkload) {
+    let (cfg, _) = sim_pairing(gpu, w, l1_kib * 1024);
+    let (_, wl) = sim_pairing(gpu, w, 0);
     (cfg, wl)
 }
 
@@ -294,11 +278,10 @@ fn cases() -> Vec<(String, u64)> {
     let mut out = Vec::new();
     let suite = Workload::suite();
     for gpu in GpuSpec::all() {
-        for l1 in [None, Some(L1_16K)] {
+        for l1_kib in [0, 16] {
             for w in &suite {
-                let (mut cfg, wl) = preset(&gpu, w);
-                cfg.l1 = l1;
-                let tag = if l1.is_some() { "l1" } else { "no-l1" };
+                let (cfg, wl) = preset(&gpu, w, l1_kib);
+                let tag = if cfg.l1.is_some() { "l1" } else { "no-l1" };
                 let (d, ..) = finish(Sm::new(&cfg, &wl, SEED));
                 out.push((format!("{}/{}/{tag}", w.name, gpu.name), d));
             }
@@ -307,10 +290,9 @@ fn cases() -> Vec<(String, u64)> {
     // An L2 stage behind the L1 with half the warps bypassing it, and one
     // with no L1 in front: there the L2 alone reads the addresses.
     let kepler = GpuSpec::kepler_k40();
-    for (tag, l1, bypass) in [("l2-bypass", Some(L1_16K), 0.5), ("l2-no-l1", None, 0.0)] {
+    for (tag, l1_kib, bypass) in [("l2-bypass", 16, 0.5), ("l2-no-l1", 0, 0.0)] {
         for w in &suite {
-            let (mut cfg, wl) = preset(&kepler, w);
-            cfg.l1 = l1;
+            let (mut cfg, wl) = preset(&kepler, w, l1_kib);
             cfg.l2 = Some(L2Config {
                 capacity_bytes: 256 * 1024,
                 latency: 120,
@@ -327,18 +309,17 @@ fn cases() -> Vec<(String, u64)> {
     let specs = [
         (
             "faults",
-            Some(L1_16K),
+            16,
             "seed=9,spike=0.05x4,dup=0.05,throttle=700:0.3:0.5",
         ),
-        ("drops", Some(L1_16K), "seed=5,drop=0.03,dup=0.02"),
-        ("drops-no-l1", None, "seed=5,drop=0.03,dup=0.02"),
+        ("drops", 16, "seed=5,drop=0.03,dup=0.02"),
+        ("drops-no-l1", 0, "seed=5,drop=0.03,dup=0.02"),
     ];
-    for (tag, l1, text) in specs {
+    for (tag, l1_kib, text) in specs {
         let spec = FaultSpec::parse(text).expect("fault spec parses");
         let (mut injected, mut absorbed, mut recovered) = (FaultCounters::default(), 0, 0);
         for w in &suite {
-            let (mut cfg, wl) = preset(&fermi, w);
-            cfg.l1 = l1;
+            let (cfg, wl) = preset(&fermi, w, l1_kib);
             let (d, stats, faults) = finish(Sm::with_faults(&cfg, &wl, SEED, &spec));
             let f = faults.expect("an injector reports its counters");
             injected.spikes += f.spikes;
@@ -364,7 +345,7 @@ fn cases() -> Vec<(String, u64)> {
     }
     let maxwell = GpuSpec::maxwell_gtx750ti();
     for w in &suite {
-        let (cfg, wl) = preset(&maxwell, w);
+        let (cfg, wl) = preset(&maxwell, w, 0);
         let mut sm = Sm::with_initial_ms_fraction(&cfg, &wl, SEED, 0.5);
         sm.trajectory_interval = 37;
         let (d, ..) = finish(sm);
@@ -372,8 +353,8 @@ fn cases() -> Vec<(String, u64)> {
     }
     for warps in [65, 100, 128] {
         for w in &suite {
-            let (mut cfg, mut wl) = preset(&kepler, w);
-            cfg.l1 = Some(CacheConfig { mshrs: 4, ..L1_16K });
+            let (mut cfg, mut wl) = preset(&kepler, w, 16);
+            cfg.l1 = cfg.l1.map(|l1| CacheConfig { mshrs: 4, ..l1 });
             wl.warps = warps;
             let (d, ..) = finish(Sm::new(&cfg, &wl, SEED));
             out.push((format!("{}/warps={warps}", w.name), d));
@@ -384,9 +365,7 @@ fn cases() -> Vec<(String, u64)> {
         .iter()
         .map(|name| {
             let w = Workload::by_name(name).expect("suite app");
-            let (mut cfg, wl) = preset(&kepler, &w);
-            cfg.l1 = Some(L1_16K);
-            (cfg, wl)
+            preset(&kepler, &w, 16)
         })
         .collect();
     let chip_bw = nodes.iter().map(|(cfg, _)| cfg.dram.bytes_per_cycle).sum();

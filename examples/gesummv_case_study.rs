@@ -98,30 +98,18 @@ fn main() {
 
     // --- Fig. 18: validate on the cycle-level simulator ---------------
     println!("\n== simulator validation (Fig. 18) ==");
-    let base_cfg = xmodel_profile::sim_config_for(&gpu, Precision::Single);
-    let analysis = app.kernel.analyze();
-    let wl = SimWorkload {
-        trace: app.trace,
-        ops_per_request: analysis.intensity,
-        ilp: analysis.ilp,
-        warps: model16.workload.n as u32,
-    };
     let mk = |l1_kib: u64, bypass: f64, throttle: Option<u32>| {
-        let mut builder = SimConfig::builder()
-            .lanes(base_cfg.lanes)
-            .issue_width(base_cfg.issue_width)
-            .lsu(base_cfg.lsu_per_cycle)
-            .dram(base_cfg.dram.latency, base_cfg.dram.bytes_per_cycle)
-            // gesummv's columns are uncoalesced: ~3 transactions/request.
-            .request_bytes(128.0 * app.coalesce)
-            // Per-SM share of the 768 KiB chip L2: bypassed requests ride
-            // its higher bandwidth.
-            .l2(51 * 1024, 180, base_cfg.dram.bytes_per_cycle * 2.0);
-        if l1_kib > 0 {
-            builder = builder.l1(l1_kib * 1024, 28, 64).bypass(bypass);
+        let (mut cfg, mut w) = sim_pairing(&gpu, &app, l1_kib * 1024);
+        // Per-SM share of the 768 KiB chip L2: bypassed requests ride its
+        // higher bandwidth.
+        cfg.l2 = Some(xmodel_sim::config::L2Config {
+            capacity_bytes: 51 * 1024,
+            latency: 180,
+            bytes_per_cycle: cfg.dram.bytes_per_cycle * 2.0,
+        });
+        if cfg.l1.is_some() {
+            cfg.bypass_fraction = bypass;
         }
-        let cfg = builder.build();
-        let mut w = wl;
         if let Some(n) = throttle {
             w.warps = n;
         }

@@ -113,6 +113,12 @@ frames() {
 }
 cmp <(frames "$trace") <(frames SIMTRACE_seed.jsonl) \
   || { echo "sim frames differ from SIMTRACE_seed.jsonl" >&2; exit 1; }
+# The simulator side of a pairing fits nothing: the run assembles no
+# model and fits no locality, so its trace holds no profile.model or
+# profile.locality_fit event and no profile.assemble span.
+if grep -Eq '"kind":"profile\.(model|locality_fit)"|"name":"profile\.assemble"' "$trace"; then
+  echo "sim assembled a model or fitted locality" >&2; exit 1
+fi
 
 echo "=== trace-diff smoke (regression attribution) ==="
 # Self-diff: identical traces ⇒ no significant differences, exit 0.
@@ -207,11 +213,13 @@ for bad in "no-such-command" "draw --fault-spec gremlins=1"; do
     test $? -eq 2 || { echo "usage error ($bad) exited $? (want 2)" >&2; exit 1; }
   fi
 done
-# 1 — a full stdout is a typed error naming stdout, never a panic.
+# 1 — a full stdout is a typed error naming stdout, never a panic; the
+# daemon stops at its listen banner (the timeout catches one that keeps
+# running).
 if [ -e /dev/full ]; then
-  for cmd in "list" "workload gesummv --gpu fermi --l1 16"; do
+  for cmd in "list" "workload gesummv --gpu fermi --l1 16" "serve --addr 127.0.0.1:0"; do
     set +e
-    $xm $cmd > /dev/full 2> "$full_err"
+    timeout 20 $xm $cmd > /dev/full 2> "$full_err"
     full_status=$?
     set -e
     [ "$full_status" -eq 1 ] && ! grep -q panicked "$full_err" \

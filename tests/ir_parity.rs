@@ -9,24 +9,14 @@
 //! counts a request changes a digest.
 
 use xmodel::core::presets::GpuSpec;
-use xmodel::profile::arch::sim_config_for;
-use xmodel::profile::fitting::workload_precision;
+use xmodel::profile::sim_pairing;
 use xmodel::sim::config::L2Config;
-use xmodel::sim::{CacheConfig, FaultCounters, FaultSpec, IrSm, SimConfig, SimStats};
+use xmodel::sim::{FaultCounters, FaultSpec, IrSm, SimConfig, SimStats};
 use xmodel::workloads::Workload;
 
 const WARPS: u32 = 32;
 const WARMUP: u64 = 2_000;
 const MEASURE: u64 = 8_000;
-
-/// The L1 `xmodel sim --l1 16` configures.
-const L1_16K: CacheConfig = CacheConfig {
-    capacity_bytes: 16 * 1024,
-    line_bytes: 128,
-    ways: 8,
-    hit_latency: 28,
-    mshrs: 64,
-};
 
 /// Expected digests by case label, captured from the IR driver before it
 /// shared the parametric driver's memory side.
@@ -176,11 +166,10 @@ fn digest(stats: &SimStats, faults: Option<FaultCounters>) -> u64 {
     h.0
 }
 
-/// `gpu`'s preset for workload `w`, as `xmodel sim` builds it.
-fn preset(gpu: &GpuSpec, w: &Workload) -> SimConfig {
-    let mut cfg = sim_config_for(gpu, workload_precision(w));
-    cfg.request_bytes = 128.0 * w.coalesce;
-    cfg
+/// The configuration of `gpu`'s pairing with `w` at an `l1_kib` L1, as
+/// `xmodel sim` runs it. Every case runs [`WARPS`] warps.
+fn preset(gpu: &GpuSpec, w: &Workload, l1_kib: u64) -> SimConfig {
+    sim_pairing(gpu, w, l1_kib * 1024).0
 }
 
 fn run(
@@ -200,11 +189,10 @@ fn run(
 fn cases() -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for gpu in GpuSpec::all() {
-        for l1 in [None, Some(L1_16K)] {
+        for l1_kib in [0, 16] {
             for w in Workload::suite() {
-                let mut cfg = preset(&gpu, &w);
-                cfg.l1 = l1;
-                let tag = if l1.is_some() { "l1" } else { "no-l1" };
+                let cfg = preset(&gpu, &w, l1_kib);
+                let tag = if cfg.l1.is_some() { "l1" } else { "no-l1" };
                 let (stats, faults) = run(&cfg, &w, None);
                 let label = format!("{}/{}/{tag}", w.name, gpu.name);
                 out.push((label, digest(&stats, faults)));
@@ -213,8 +201,7 @@ fn cases() -> Vec<(String, u64)> {
     }
     let kepler = GpuSpec::kepler_k40();
     for w in Workload::suite() {
-        let mut cfg = preset(&kepler, &w);
-        cfg.l1 = Some(L1_16K);
+        let mut cfg = preset(&kepler, &w, 16);
         cfg.l2 = Some(L2Config {
             capacity_bytes: 256 * 1024,
             latency: 120,
@@ -230,8 +217,7 @@ fn cases() -> Vec<(String, u64)> {
     let fermi = GpuSpec::fermi_gtx570();
     let (mut injected, mut absorbed) = (FaultCounters::default(), 0);
     for w in Workload::suite() {
-        let mut cfg = preset(&fermi, &w);
-        cfg.l1 = Some(L1_16K);
+        let cfg = preset(&fermi, &w, 16);
         let (stats, faults) = run(&cfg, &w, Some(&spec));
         let f = faults.expect("an injector reports its counters");
         injected.spikes += f.spikes;
